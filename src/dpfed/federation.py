@@ -6,12 +6,13 @@ and every worker applies it with the shared learning rate. Workers and
 coordinator advance in lockstep; a budget refusal or protocol fault on
 any side aborts the whole session.
 
-The same :class:`WorkerReplica` state machine drives both transports:
-``inproc_session`` runs everything deterministically in one thread, the
-``Coordinator`` / ``worker_run`` pair speaks the wire protocol over TCP.
-Averages are summed in ascending worker id order and released vectors
-travel as exact float64 bytes, so the two transports produce
-bit-identical models for the same seeds.
+One round driver plays the coordinator and ``WorkerReplica.reply`` plays
+each worker, over a per-worker link with ``send(msg) -> payload bytes``
+and ``recv() -> (msg, payload bytes)``: in memory for ``inproc_session``,
+a TCP :class:`MessageStream` for the ``Coordinator`` / ``worker_run``
+pair. Averages are summed in ascending worker id order and releases
+travel as exact float64 bytes, so both transports produce bit-identical
+models, ledgers and transcripts for the same seeds.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from __future__ import annotations
 import math
 import socket
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,6 +31,7 @@ from .dpsgd import BatchSampler, DpSgdConfig, GradientRelease, train_step
 from .errors import (
     BudgetExceeded,
     DecodeError,
+    DpFedError,
     InvalidValue,
     ProtocolError,
     TimedOut,
@@ -42,6 +45,7 @@ from .wire import (
     ABORT_DECODE,
     ABORT_PROTOCOL,
     ABORT_TIMEOUT,
+    GRAD_HEADER_LEN,
     HEADER_LEN,
     MAGIC,
     PROTOCOL_VERSION,
@@ -128,20 +132,11 @@ class WorkerReplica:
         self._noise_rng = root.derive("noise")
         self.net: Network | None = None
         self.learning_rate: float | None = None
-        self.total_steps: int | None = None
-
-    def handle_init(self, init: Init) -> None:
-        if init.seed is not None:
-            self.net = init_network(init.dims, RandomSource(init.seed))
-        else:
-            self.net = Network.from_flat(init.dims, init.parameters)
-        self.learning_rate = init.learning_rate
-        self.total_steps = init.total_steps
+        self.total_steps = 0
+        self.steps_completed = 0
 
     def make_release(self, step_id: int) -> GradientRelease:
         """One private release; BudgetExceeded propagates with state intact."""
-        if self.net is None:
-            raise ProtocolError("release requested before INIT")
         batch = self._sampler.next_batch()
         release, self.ledger = train_step(
             self.net, batch, self.dp_config, self.ledger, self._noise_rng, step_id
@@ -149,9 +144,35 @@ class WorkerReplica:
         return release
 
     def apply_average(self, avg: Avg) -> None:
-        if self.net is None:
-            raise ProtocolError("average received before INIT")
+        if not np.all(np.isfinite(avg.vector)):
+            raise ProtocolError(f"AVG {avg.step_id} holds non-finite values")
         self.net = apply_update(self.net, avg.vector, self.learning_rate)
+
+    def reply(self, msg: Message) -> Message | None:
+        """The worker's answer to INIT or the current step's AVG: the next
+        GRAD, or nothing after the last step. Any other message, and any
+        fault while applying or releasing, is answered with an ABORT.
+        """
+        try:
+            if isinstance(msg, Init) and self.net is None:
+                if msg.seed is not None:
+                    self.net = init_network(msg.dims, RandomSource(msg.seed))
+                else:
+                    self.net = Network.from_flat(msg.dims, msg.parameters)
+                self.learning_rate, self.total_steps = msg.learning_rate, msg.total_steps
+            elif isinstance(msg, Avg) and msg.step_id == self.steps_completed < self.total_steps:
+                self.apply_average(msg)
+                self.steps_completed += 1
+            else:
+                name = type(msg).__name__.upper()
+                return Abort(ABORT_PROTOCOL, f"unexpected {name} after {self.steps_completed} steps")
+            if self.steps_completed == self.total_steps:
+                return None
+            return Grad(self.make_release(self.steps_completed))
+        except BudgetExceeded as exc:
+            return Abort(ABORT_BUDGET, str(exc))
+        except DpFedError as exc:
+            return Abort(ABORT_PROTOCOL, str(exc))
 
 
 def average_releases(releases: Sequence[GradientRelease]) -> np.ndarray:
@@ -188,21 +209,12 @@ class TranscriptEntry:
         return f"{self.direction}\t{self.worker_id}\t{self.kind}\t{step}\t{self.payload_bytes}"
 
 
-def _entry(direction: str, worker_id: int, msg: Message) -> TranscriptEntry:
-    kind = type(msg).__name__.upper()
-    step: int | None = None
-    if isinstance(msg, Grad):
-        step = msg.step_id
-    elif isinstance(msg, Avg):
-        step = msg.step_id
-    elif isinstance(msg, Done):
-        step = msg.steps_completed
-    return TranscriptEntry(direction, worker_id, kind, step, len(encode(msg)) - HEADER_LEN)
+def _entry(direction: str, worker_id: int, msg: Message, payload_bytes: int) -> TranscriptEntry:
+    step = getattr(msg, "step_id", getattr(msg, "steps_completed", None))  # GRAD, AVG, DONE
+    return TranscriptEntry(direction, worker_id, type(msg).__name__.upper(), step, payload_bytes)
 
 
 def write_transcript(entries: Sequence[TranscriptEntry], path) -> None:
-    from pathlib import Path
-
     Path(path).write_text("".join(e.line() + "\n" for e in entries))
 
 
@@ -236,6 +248,108 @@ def _spent_totals(per_worker: dict[int, list[PrivacyParams]]) -> dict[int, Priva
     }
 
 
+def _grad_fault(msg: Message, step: int, dims: NetworkDims) -> str | None:
+    """Why ``msg`` is not an acceptable release for ``step``, or None."""
+    if not isinstance(msg, Grad):
+        return f"sent {type(msg).__name__.upper()} at step {step}"
+    release = msg.release
+    if release.step_id != step:
+        return f"sent GRAD for step {release.step_id} at step {step}"
+    if len(release.vector) != dims.parameter_count:
+        return f"sent {len(release.vector)} values, expected {dims.parameter_count}"
+    if not np.all(np.isfinite(release.vector)):
+        return f"sent non-finite values at step {step}"
+    if release.batch_size < 1:
+        return f"sent batch size {release.batch_size} at step {step}"
+    return None
+
+
+def _admit(link, links: dict, transcript: list[TranscriptEntry]) -> None:
+    """Read a worker's HELLO and register its link under the announced id."""
+    hello, size = link.recv()
+    if not isinstance(hello, Hello):
+        raise ProtocolError(f"expected HELLO, got {type(hello).__name__}")
+    if hello.protocol_version != PROTOCOL_VERSION:
+        raise ProtocolError(f"unsupported protocol version {hello.protocol_version}")
+    if hello.worker_id in links:
+        raise ProtocolError(f"duplicate worker id {hello.worker_id}")
+    links[hello.worker_id] = link
+    transcript.append(_entry("recv", hello.worker_id, hello, size))
+
+
+def _run_rounds(
+    cfg: SessionConfig,
+    links: dict,
+    transcript: list[TranscriptEntry],
+    on_round: Callable[[int], None] | None = None,
+) -> SessionSummary:
+    """The coordinator's side of a session, over one link per admitted worker.
+
+    A worker's ABORT is relayed to everyone; a message that cannot be read
+    or is not a valid GRAD for the round aborts the session with the
+    matching code. Every message read is recorded, rejected ones included.
+    """
+    wids = sorted(links)
+    spent: dict[int, list[PrivacyParams]] = {wid: [] for wid in wids}
+    steps_completed = 0
+
+    def broadcast(msg: Message) -> None:
+        for wid in wids:
+            try:
+                transcript.append(_entry("send", wid, msg, links[wid].send(msg)))
+            except TransportError:
+                pass  # peers may already be gone during an abort
+
+    def finish(aborted: int | None, reason: str = "") -> SessionSummary:
+        broadcast(Done(steps_completed) if aborted is None else Abort(aborted, reason))
+        return SessionSummary(steps_completed, aborted, _spent_totals(spent))
+
+    broadcast(cfg.init_message())
+    for step in range(cfg.total_steps):
+        releases: list[GradientRelease] = []
+        for wid in wids:
+            try:
+                msg, size = links[wid].recv()
+            except TimedOut:
+                return finish(ABORT_TIMEOUT, f"worker {wid} timed out")
+            except (DecodeError, TransportError) as exc:
+                return finish(ABORT_DECODE, f"worker {wid}: {exc}")
+            transcript.append(_entry("recv", wid, msg, size))
+            if isinstance(msg, Abort):
+                return finish(msg.code, f"relayed from worker {wid}")
+            fault = _grad_fault(msg, step, cfg.dims)
+            if fault is not None:
+                return finish(ABORT_PROTOCOL, f"worker {wid} {fault}")
+            releases.append(msg.release)
+        broadcast(Avg(step, average_releases(releases)))
+        for wid, release in zip(wids, releases):
+            spent[wid].append(release.spent)
+        steps_completed += 1
+        if on_round is not None:
+            on_round(step)
+    return finish(None)
+
+
+class _LocalLink:
+    """In-memory link to a replica that answers each INIT or AVG at once,
+    just as a TCP worker does, so replies queue up in the same order."""
+
+    def __init__(self, replica: WorkerReplica):
+        self._replica = replica
+        self._outbox: list[Message] = [Hello(replica.worker_id)]
+
+    def send(self, msg: Message) -> int:
+        if isinstance(msg, (Init, Avg)):
+            reply = self._replica.reply(msg)
+            if reply is not None:
+                self._outbox.append(reply)
+        return len(encode(msg)) - HEADER_LEN
+
+    def recv(self) -> tuple[Message, int]:
+        msg = self._outbox.pop(0)
+        return msg, len(encode(msg)) - HEADER_LEN
+
+
 def inproc_session(
     cfg: SessionConfig,
     specs: Sequence[WorkerSpec],
@@ -243,9 +357,9 @@ def inproc_session(
 ) -> SessionResult:
     """Deterministic single-thread simulation of a full session.
 
-    Runs the identical replica and averaging code the TCP path uses and
-    records the same coordinator-side transcript. ``on_round`` sees the
-    per-worker networks after every applied average.
+    Runs the round driver and replica code the TCP path uses, over
+    in-memory links, and records the same coordinator-side transcript.
+    ``on_round`` sees the per-worker networks after every applied average.
     """
     if len(specs) != cfg.n_workers:
         raise InvalidValue(f"config says {cfg.n_workers} workers, got {len(specs)} specs")
@@ -253,82 +367,52 @@ def inproc_session(
     if len(set(ids)) != len(ids):
         raise InvalidValue("worker ids must be unique")
 
-    by_id = {s.worker_id: WorkerReplica(s) for s in specs}
-    wids = sorted(by_id)
+    replicas = {s.worker_id: WorkerReplica(s) for s in specs}
+    wids = sorted(replicas)
+    links: dict[int, _LocalLink] = {}
     transcript: list[TranscriptEntry] = []
-    spent: dict[int, list[PrivacyParams]] = {wid: [] for wid in wids}
-
     for wid in wids:
-        transcript.append(_entry("recv", wid, Hello(wid)))
-    init = cfg.init_message()
-    for wid in wids:
-        transcript.append(_entry("send", wid, init))
-        by_id[wid].handle_init(init)
+        _admit(_LocalLink(replicas[wid]), links, transcript)
 
-    aborted: int | None = None
-    steps_completed = 0
-    for step in range(cfg.total_steps):
-        releases: list[GradientRelease] = []
-        for wid in wids:
-            try:
-                release = by_id[wid].make_release(step)
-            except BudgetExceeded as exc:
-                abort = Abort(ABORT_BUDGET, str(exc))
-                transcript.append(_entry("recv", wid, abort))
-                aborted = ABORT_BUDGET
-                break
-            transcript.append(_entry("recv", wid, Grad(release)))
-            releases.append(release)
-        if aborted is not None:
-            abort = Abort(ABORT_BUDGET, "relayed budget abort")
-            for wid in wids:
-                transcript.append(_entry("send", wid, abort))
-            break
-        avg = Avg(step, average_releases(releases))
-        for wid, release in zip(wids, releases):
-            transcript.append(_entry("send", wid, avg))
-            by_id[wid].apply_average(avg)
-            spent[wid].append(release.spent)
-        steps_completed += 1
-        if on_round is not None:
-            on_round(step, {wid: by_id[wid].net for wid in wids})
+    def networks() -> dict[int, Network]:
+        return {wid: replicas[wid].net for wid in wids}
 
-    if aborted is None:
-        done = Done(steps_completed)
-        for wid in wids:
-            transcript.append(_entry("send", wid, done))
-
-    summary = SessionSummary(
-        steps_completed=steps_completed,
-        aborted=aborted,
-        per_worker_spent=_spent_totals(spent),
+    summary = _run_rounds(
+        cfg, links, transcript, on_round and (lambda step: on_round(step, networks()))
     )
     return SessionResult(
-        networks={wid: by_id[wid].net for wid in wids},
-        ledgers={wid: by_id[wid].ledger for wid in wids},
+        networks=networks(),
+        ledgers={wid: replicas[wid].ledger for wid in wids},
         transcript=transcript,
         summary=summary,
     )
 
 
 class MessageStream:
-    """Length-prefixed message framing over a connected socket."""
+    """Length-prefixed framing over a connected socket; a declared payload
+    above ``max_payload`` is refused before any of it is read."""
 
-    def __init__(self, sock: socket.socket):
+    _CHUNK = 1 << 16  # largest single recv, whatever length a peer declares
+
+    def __init__(self, sock: socket.socket, max_payload: int | None = None):
         self._sock = sock
+        self._max_payload = max_payload
 
-    def send(self, msg: Message) -> None:
+    def send(self, msg: Message) -> int:
+        """Send one frame; returns its payload length."""
+        frame = encode(msg)
         try:
-            self._sock.sendall(encode(msg))
+            self._sock.sendall(frame)
         except OSError as exc:
             raise TransportError(f"send failed: {exc}") from exc
+        return len(frame) - HEADER_LEN
 
     def _read_exact(self, n: int) -> bytes:
         chunks = []
         remaining = n
         while remaining:
             try:
-                chunk = self._sock.recv(remaining)
+                chunk = self._sock.recv(min(remaining, self._CHUNK))
             except socket.timeout as exc:
                 raise TimedOut("peer did not respond within the timeout") from exc
             except OSError as exc:
@@ -339,13 +423,15 @@ class MessageStream:
             remaining -= len(chunk)
         return b"".join(chunks)
 
-    def recv(self) -> Message:
+    def recv(self) -> tuple[Message, int]:
+        """Read one frame; returns the message and its payload length."""
         header = self._read_exact(HEADER_LEN)
         if header[:4] != MAGIC:
             raise DecodeError(f"bad magic {header[:4]!r}")
         payload_len = int.from_bytes(header[5:9], "little")
-        payload = self._read_exact(payload_len) if payload_len else b""
-        return decode(header + payload)
+        if self._max_payload is not None and payload_len > self._max_payload:
+            raise DecodeError(f"declared payload of {payload_len} bytes exceeds {self._max_payload}")
+        return decode(header + self._read_exact(payload_len)), payload_len
 
     def close(self) -> None:
         try:
@@ -376,92 +462,26 @@ class Coordinator:
         self.address = listener.getsockname()[:2]
         return self.address
 
-    def _broadcast(self, streams: dict[int, MessageStream], msg: Message) -> None:
-        for wid in sorted(streams):
-            try:
-                streams[wid].send(msg)
-                self.transcript.append(_entry("send", wid, msg))
-            except TransportError:
-                pass  # peers may already be gone during an abort
-
     def run(self) -> SessionSummary:
+        """Admit ``n_workers`` connections, then drive the session over them."""
         if self._listener is None:
             self.bind()
         cfg = self.cfg
-        streams: dict[int, MessageStream] = {}
-        spent: dict[int, list[PrivacyParams]] = {}
+        streams: list[MessageStream] = []
+        links: dict[int, MessageStream] = {}
         try:
             for _ in range(cfg.n_workers):
                 try:
                     conn, _ = self._listener.accept()
                 except socket.timeout as exc:
-                    raise TimedOut(
-                        f"only {len(streams)} of {cfg.n_workers} workers connected"
-                    ) from exc
+                    raise TimedOut(f"only {len(links)} of {cfg.n_workers} workers connected") from exc
                 conn.settimeout(cfg.timeout)
-                stream = MessageStream(conn)
-                hello = stream.recv()
-                if not isinstance(hello, Hello):
-                    raise ProtocolError(f"expected HELLO, got {type(hello).__name__}")
-                if hello.protocol_version != PROTOCOL_VERSION:
-                    raise ProtocolError(f"unsupported protocol version {hello.protocol_version}")
-                if hello.worker_id in streams:
-                    raise ProtocolError(f"duplicate worker id {hello.worker_id}")
-                streams[hello.worker_id] = stream
-                spent[hello.worker_id] = []
-                self.transcript.append(_entry("recv", hello.worker_id, hello))
-
-            init = cfg.init_message()
-            for wid in sorted(streams):
-                streams[wid].send(init)
-                self.transcript.append(_entry("send", wid, init))
-
-            aborted: int | None = None
-            steps_completed = 0
-            for step in range(cfg.total_steps):
-                releases: list[GradientRelease] = []
-                for wid in sorted(streams):
-                    try:
-                        msg = streams[wid].recv()
-                    except TimedOut:
-                        self._broadcast(streams, Abort(ABORT_TIMEOUT, f"worker {wid} timed out"))
-                        aborted = ABORT_TIMEOUT
-                        break
-                    except (DecodeError, TransportError) as exc:
-                        self._broadcast(streams, Abort(ABORT_DECODE, f"worker {wid}: {exc}"))
-                        aborted = ABORT_DECODE
-                        break
-                    if isinstance(msg, Abort):
-                        self.transcript.append(_entry("recv", wid, msg))
-                        self._broadcast(streams, Abort(msg.code, f"relayed from worker {wid}"))
-                        aborted = msg.code
-                        break
-                    if not isinstance(msg, Grad) or msg.step_id != step:
-                        self._broadcast(
-                            streams,
-                            Abort(ABORT_PROTOCOL, f"worker {wid} sent {type(msg).__name__} at step {step}"),
-                        )
-                        aborted = ABORT_PROTOCOL
-                        break
-                    self.transcript.append(_entry("recv", wid, msg))
-                    releases.append(msg.release)
-                if aborted is not None:
-                    break
-                avg = Avg(step, average_releases(releases))
-                self._broadcast(streams, avg)
-                for wid, release in zip(sorted(streams), releases):
-                    spent[wid].append(release.spent)
-                steps_completed += 1
-
-            if aborted is None:
-                self._broadcast(streams, Done(steps_completed))
-            return SessionSummary(
-                steps_completed=steps_completed,
-                aborted=aborted,
-                per_worker_spent=_spent_totals(spent),
-            )
+                # no legal worker frame is larger than a full GRAD
+                streams.append(MessageStream(conn, GRAD_HEADER_LEN + 8 * cfg.dims.parameter_count))
+                _admit(streams[-1], links, self.transcript)
+            return _run_rounds(cfg, links, self.transcript)
         finally:
-            for stream in streams.values():
+            for stream in streams:
                 stream.close()
             self._listener.close()
 
@@ -509,50 +529,30 @@ def worker_run(
     stream = MessageStream(_connect(host, port, timeout))
     try:
         stream.send(Hello(spec.worker_id))
-        first = stream.recv()
-        if isinstance(first, Abort):
-            raise ProtocolError(f"session aborted before INIT: {abort_name(first.code)}")
-        if not isinstance(first, Init):
-            raise ProtocolError(f"expected INIT, got {type(first).__name__}")
-        replica.handle_init(first)
-
-        def result(steps: int, aborted: int | None) -> WorkerResult:
-            return WorkerResult(
-                worker_id=spec.worker_id,
-                network=replica.net,
-                ledger=replica.ledger,
-                steps_completed=steps,
-                aborted=aborted,
-            )
-
-        for step in range(first.total_steps):
+        msg, _ = stream.recv()
+        if not isinstance(msg, Init):
+            got = f"ABORT ({abort_name(msg.code)})" if isinstance(msg, Abort) else type(msg).__name__
+            raise ProtocolError(f"expected INIT, got {got}")
+        total = msg.total_steps
+        while not (isinstance(msg, Abort) or isinstance(msg, Done) and replica.steps_completed == total):
+            answer = replica.reply(msg)
+            if answer is not None:
+                stream.send(answer)
+            if isinstance(answer, Abort):
+                msg = answer
+                continue
             try:
-                release = replica.make_release(step)
-            except BudgetExceeded as exc:
-                stream.send(Abort(ABORT_BUDGET, str(exc)))
-                return result(step, ABORT_BUDGET)
-            stream.send(Grad(release))
-            try:
-                msg = stream.recv()
+                msg, _ = stream.recv()
             except TimedOut:
-                return result(step, ABORT_TIMEOUT)
+                msg = Abort(ABORT_TIMEOUT)
             except (DecodeError, TransportError):
-                return result(step, ABORT_DECODE)
-            if isinstance(msg, Abort):
-                return result(step, msg.code)
-            if not isinstance(msg, Avg) or msg.step_id != step:
-                stream.send(Abort(ABORT_PROTOCOL, f"expected AVG {step}"))
-                return result(step, ABORT_PROTOCOL)
-            replica.apply_average(msg)
-
-        try:
-            closing = stream.recv()
-        except (TimedOut, DecodeError, TransportError):
-            return result(first.total_steps, ABORT_DECODE)
-        if isinstance(closing, Done):
-            return result(closing.steps_completed, None)
-        if isinstance(closing, Abort):
-            return result(first.total_steps, closing.code)
-        return result(first.total_steps, ABORT_PROTOCOL)
+                msg = Abort(ABORT_DECODE)
+        return WorkerResult(
+            worker_id=spec.worker_id,
+            network=replica.net,
+            ledger=replica.ledger,
+            steps_completed=replica.steps_completed,
+            aborted=msg.code if isinstance(msg, Abort) else None,
+        )
     finally:
         stream.close()

@@ -23,6 +23,8 @@ from .privacy import PrivacyParams
 MAGIC = b"FDP1"
 PROTOCOL_VERSION = 1
 HEADER_LEN = 9  # magic + tag + payload length
+_GRAD_HEAD = "<IBdddII"  # step, noisy, epsilon, delta, clip bound, batch size, length
+GRAD_HEADER_LEN = struct.calcsize(_GRAD_HEAD)
 
 TAG_HELLO = 1
 TAG_INIT = 2
@@ -165,7 +167,7 @@ def encode(msg: Message) -> bytes:
     if isinstance(msg, Grad):
         r = msg.release
         head = struct.pack(
-            "<IBdddII",
+            _GRAD_HEAD,
             r.step_id,
             1 if r.noisy else 0,
             r.spent.epsilon,
@@ -218,9 +220,9 @@ def _decode_init(payload: bytes) -> tuple[Init, int]:
 
 
 def _decode_grad(payload: bytes) -> tuple[Grad, int]:
-    head = struct.calcsize("<IBdddII")
+    head = GRAD_HEADER_LEN
     _need(payload, 0, head, "GRAD header")
-    step, noisy, eps, delta, clip, batch, n = struct.unpack_from("<IBdddII", payload, 0)
+    step, noisy, eps, delta, clip, batch, n = struct.unpack_from(_GRAD_HEAD, payload, 0)
     _need(payload, head, 8 * n, "GRAD vector")
     vec = np.frombuffer(payload, dtype="<f8", offset=head, count=n).astype(np.float64)
     try:

@@ -1,4 +1,6 @@
 import re
+import socket
+import struct
 import threading
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from dpfed.dpsgd import BatchSampler, DpSgdConfig, GradientRelease, per_example_
 from dpfed.errors import InvalidValue, ProtocolError
 from dpfed.federation import (
     Coordinator,
+    MessageStream,
     SessionConfig,
     WorkerSpec,
     average_releases,
@@ -20,7 +23,19 @@ from dpfed.federation import (
 from dpfed.network import NetworkDims, apply_update, init_network
 from dpfed.privacy import PrivacyParams
 from dpfed.rng import RandomSource
-from dpfed.wire import ABORT_BUDGET
+from dpfed.wire import (
+    ABORT_BUDGET,
+    ABORT_DECODE,
+    ABORT_PROTOCOL,
+    MAGIC,
+    TAG_GRAD,
+    Abort,
+    Avg,
+    Grad,
+    Hello,
+    Init,
+    encode,
+)
 
 DIMS = NetworkDims(3, 4, 5)
 
@@ -206,21 +221,33 @@ def test_write_transcript(tmp_path):
     assert first[0] == "recv" and first[2] == "HELLO"
 
 
-def test_tcp_session_matches_inproc_bit_for_bit():
-    specs = [make_spec(0, noisy=True), make_spec(1, noisy=False), make_spec(2, noisy=True)]
+@pytest.mark.parametrize(
+    "budgets",
+    [(1000.0, 1000.0, 1000.0), (1.0, 1000.0, 1000.0), (1000.0, 1.0, 1000.0)],
+    ids=["clean", "worker0-out-of-budget", "worker1-out-of-budget"],
+)
+def test_tcp_session_matches_inproc_bit_for_bit(budgets):
+    # a budget of 1.0 affords exactly 2 noisy releases of 0.5
+    specs = [make_spec(w, noisy=w != 2, budget_eps=eps) for w, eps in enumerate(budgets)]
     cfg = session_cfg(3, 5)
     local = inproc_session(cfg, specs)
     summary, results, transcript = run_tcp(cfg, specs)
 
-    assert summary.clean
-    assert summary.steps_completed == 5
+    clean = min(budgets) > 1.0
+    assert summary == local.summary
+    assert summary.aborted == (None if clean else ABORT_BUDGET)
+    assert summary.steps_completed == (5 if clean else 2)
     for wid in (0, 1, 2):
-        assert results[wid].clean
+        assert results[wid].aborted == summary.aborted
+        assert results[wid].steps_completed == summary.steps_completed
         assert np.array_equal(results[wid].network.flatten(), local.networks[wid].flatten())
+        assert len(results[wid].ledger.entries) == len(local.ledgers[wid].entries)
         assert results[wid].ledger.spent == local.ledgers[wid].spent
-    assert summary.per_worker_spent == local.summary.per_worker_spent
-    grads = [e for e in transcript if e.kind == "GRAD"]
-    assert len(grads) == 15
+    # TCP records HELLOs in accept order; everything after is in a fixed order
+    tcp_lines = [e.line() for e in transcript]
+    local_lines = [e.line() for e in local.transcript]
+    assert set(tcp_lines[:3]) == set(local_lines[:3])
+    assert tcp_lines[3:] == local_lines[3:]
 
 
 def test_tcp_budget_abort_propagates():
@@ -240,6 +267,93 @@ def test_tcp_budget_abort_propagates():
 
 def test_duplicate_worker_ids_rejected():
     cfg = session_cfg(2, 3)
-    ids = [s.worker_id for s in [make_spec(0), make_spec(0)]]
     with pytest.raises(InvalidValue):
         inproc_session(cfg, [make_spec(0), make_spec(0)])
+
+
+def _grad_frame(step=0, length=DIMS.parameter_count, fill=0.0, batch_size=1):
+    release = GradientRelease(step, np.full(length, fill), PrivacyParams(0.0, 0.0), 1.0, batch_size, False)
+    return encode(Grad(release))
+
+
+@pytest.mark.parametrize(
+    "frame, code, recorded",
+    [
+        (_grad_frame(fill=float("nan")), ABORT_PROTOCOL, True),
+        (_grad_frame(length=DIMS.parameter_count - 1), ABORT_PROTOCOL, True),
+        (_grad_frame(step=1), ABORT_PROTOCOL, True),
+        (_grad_frame(batch_size=0), ABORT_PROTOCOL, True),
+        (_grad_frame(length=DIMS.parameter_count + 1), ABORT_DECODE, False),
+        (MAGIC + struct.pack("<BI", TAG_GRAD, 0xFFFFFFFF), ABORT_DECODE, False),
+    ],
+    ids=["nan", "short", "wrong-step", "zero-batch", "over-long", "huge-header"],
+)
+def test_bad_worker_frame_aborts_session_cleanly(frame, code, recorded):
+    # worker 1 is a script that says HELLO, reads INIT and sends one bad frame
+    cfg = session_cfg(2, 3, timeout=10.0)
+    coord = Coordinator(cfg)
+    address = coord.bind()
+    box = {}
+
+    def fake_worker():
+        with socket.create_connection(address, timeout=10.0) as sock:
+            sock.sendall(encode(Hello(1)))
+            box["init"] = sock.recv(1 << 20)
+            sock.sendall(frame)
+            try:
+                box["reply"] = sock.recv(1 << 20)
+            except OSError:
+                pass  # the coordinator may reset a connection it stopped reading
+
+    threads = [
+        threading.Thread(target=lambda: box.update(summary=coord.run())),
+        threading.Thread(target=lambda: box.update(honest=worker_run(address, make_spec(0), 10.0))),
+        threading.Thread(target=fake_worker),
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive(), "session hung"
+
+    assert box["summary"].aborted == code
+    assert box["summary"].steps_completed == 0
+    assert box["honest"].aborted == code
+    assert box["honest"].steps_completed == 0
+    assert len(box["honest"].ledger.entries) == 1  # the release for step 0
+    recv = [(e.worker_id, e.kind) for e in coord.transcript if e.direction == "recv"]
+    assert ((1, "GRAD") in recv) == recorded
+    assert [e.kind for e in coord.transcript][-2:] == ["ABORT", "ABORT"]
+
+
+def test_worker_aborts_on_non_finite_average():
+    # a scripted coordinator answers the first release with a NaN average
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10.0)
+    box = {}
+
+    def fake_coordinator():
+        conn, _ = listener.accept()
+        with conn:
+            conn.settimeout(10.0)
+            stream = MessageStream(conn)
+            box["hello"], _ = stream.recv()
+            stream.send(Init(DIMS, total_steps=3, learning_rate=0.05, seed=7))
+            box["grad"], _ = stream.recv()
+            stream.send(Avg(0, np.full(DIMS.parameter_count, np.nan)))
+            box["reply"], _ = stream.recv()
+
+    thread = threading.Thread(target=fake_coordinator)
+    thread.start()
+    try:
+        result = worker_run(listener.getsockname()[:2], make_spec(0), timeout=10.0)
+    finally:
+        thread.join(timeout=30)
+        listener.close()
+    assert not thread.is_alive()
+
+    assert result.aborted == ABORT_PROTOCOL
+    assert result.steps_completed == 0
+    assert np.array_equal(result.network.flatten(), init_network(DIMS, RandomSource(7)).flatten())
+    assert isinstance(box["grad"], Grad)
+    assert isinstance(box["reply"], Abort) and box["reply"].code == ABORT_PROTOCOL
