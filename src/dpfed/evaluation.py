@@ -59,26 +59,32 @@ class EvalReport:
 
 
 def predict_labels(net: Network, frames: np.ndarray) -> np.ndarray:
-    """Per-frame argmax class; ties resolve to the lowest index."""
+    """Per-frame argmax class; ties resolve to the lowest index.
+
+    ``frames`` is one sequence (T, d) or B equal-length sequences (T, B, d).
+    """
     logits, _ = forward(net, frames)
-    return np.argmax(logits, axis=1)
+    return np.argmax(logits, axis=-1)
 
 
 def accuracy(net: Network, dataset: Dataset) -> EvalReport:
-    """Score every frame of the dataset."""
+    """Score every frame of the dataset, sequences of equal length in one batch."""
     if dataset.n_sequences == 0:
         raise EmptyDataset("cannot evaluate on an empty dataset")
     if dataset.feature_dim != net.dims.input_dim:
         raise ShapeError(
             f"dataset dim {dataset.feature_dim} does not match model input {net.dims.input_dim}"
         )
-    per_speaker: dict[int, list[int]] = {}
+    by_length: dict[int, list] = {}
     for seq in dataset.sequences:
-        preds = predict_labels(net, seq.frames)
-        correct = int((preds == seq.labels).sum())
-        bucket = per_speaker.setdefault(seq.speaker_id, [0, 0])
-        bucket[0] += seq.n_frames
-        bucket[1] += correct
+        by_length.setdefault(seq.n_frames, []).append(seq)
+    per_speaker: dict[int, list[int]] = {}
+    for group in by_length.values():
+        preds = predict_labels(net, np.stack([seq.frames for seq in group], axis=1))
+        for seq, seq_preds in zip(group, preds.T):
+            bucket = per_speaker.setdefault(seq.speaker_id, [0, 0])
+            bucket[0] += seq.n_frames
+            bucket[1] += int((seq_preds == seq.labels).sum())
     speakers = tuple(
         SpeakerScore(sid, frames, correct)
         for sid, (frames, correct) in sorted(per_speaker.items())

@@ -11,6 +11,11 @@ softmax cross-entropy with max-subtraction; backward is full
 backpropagation through time. Model files use the FDPNET01 format: the
 8-byte magic, three u32 little-endian dims, then every parameter as
 float64 little-endian in flat order.
+
+One kernel steps B equal-length sequences at once over time-major (T, B, .)
+arrays. Each matrix-vector product is one gemv per row and weight gradients
+accumulate step by step in reverse t, so a sequence's bits never depend on
+its batch; ``V @ W.T``, ``einsum`` or a contraction over t round differently.
 """
 
 from __future__ import annotations
@@ -145,86 +150,69 @@ def init_network(dims: NetworkDims, rng: RandomSource) -> Network:
 
 @dataclass
 class ForwardCache:
-    """Everything backward needs, tied to the exact network that produced it."""
+    """Everything backward needs, time-major, tied to the network that produced it."""
 
     net: Network
-    frames: np.ndarray  # (T, d)
-    preact: np.ndarray  # (T, 4h) gate pre-activations
-    gate_i: np.ndarray  # (T, h)
-    gate_f: np.ndarray  # (T, h)
-    gate_g: np.ndarray  # (T, h) cell candidate, tanh
-    gate_o: np.ndarray  # (T, h)
-    cell: np.ndarray  # (T, h)
-    hidden: np.ndarray  # (T, h)
-    tanh_cell: np.ndarray  # (T, h)
-    logits: np.ndarray  # (T, o)
-    probs: np.ndarray  # (T, o) softmax rows
+    frames: np.ndarray  # (T, B, d)
+    gate_i: np.ndarray  # (T, B, h)
+    gate_f: np.ndarray  # (T, B, h)
+    gate_g: np.ndarray  # (T, B, h) cell candidate, tanh
+    gate_o: np.ndarray  # (T, B, h)
+    cell: np.ndarray  # (T, B, h)
+    hidden: np.ndarray  # (T, B, h)
+    tanh_cell: np.ndarray  # (T, B, h)
+    logits: np.ndarray  # (T, B, o)
+    probs: np.ndarray  # (T, B, o) softmax rows
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def _gemv_rows(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``w @ v[k]`` for every row k of v (n, cols): one gemv per row, the bits of each alone."""
+    return np.matmul(w, v[:, :, None])[:, :, 0]
+
+
+def _check_frames(frames: np.ndarray, input_dim: int, ndims: tuple[int, ...]) -> np.ndarray:
+    x = np.asarray(frames, dtype=np.float64)
+    if x.ndim not in ndims or x.shape[-1] != input_dim or 0 in x.shape:
+        raise ShapeError(f"frames must be a non-empty {ndims}-d array with last axis {input_dim}, got {x.shape}")
+    return x
 
 
 def forward(net: Network, frames: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Run the sequence through the LSTM; returns per-frame logits and a cache."""
-    x = np.asarray(frames, dtype=np.float64)
-    d, h, o = net.dims.input_dim, net.dims.hidden_dim, net.dims.output_dim
-    if x.ndim != 2 or x.shape[1] != d:
-        raise ShapeError(f"frames must have shape (T, {d}), got {x.shape}")
-    t_len = x.shape[0]
-    if t_len == 0:
-        raise ShapeError("sequence must contain at least one frame")
+    """Run sequences through the LSTM; returns per-frame logits and a cache.
 
-    preact = np.empty((t_len, 4 * h))
-    gi = np.empty((t_len, h))
-    gf = np.empty((t_len, h))
-    gg = np.empty((t_len, h))
-    go = np.empty((t_len, h))
-    cell = np.empty((t_len, h))
-    hidden = np.empty((t_len, h))
-    tanh_c = np.empty((t_len, h))
-    logits = np.empty((t_len, o))
+    ``frames`` is one sequence (T, d) or B equal-length sequences (T, B, d);
+    the logits come back as (T, o) or (T, B, o) to match.
+    """
+    x = _check_frames(frames, net.dims.input_dim, (2, 3))
+    single = x.ndim == 2
+    x = x[:, None, :] if single else x
+    t_len, batch, d = x.shape
+    h, o = net.dims.hidden_dim, net.dims.output_dim
 
-    h_prev = np.zeros(h)
-    c_prev = np.zeros(h)
+    x_proj = _gemv_rows(net.wx, x.reshape(t_len * batch, d)).reshape(t_len, batch, 4 * h)
+    gates = np.empty((t_len, batch, 4 * h))
+    gi, gf, gg, go = (gates[:, :, k * h : (k + 1) * h] for k in range(4))
+    cell, hidden, tanh_c = np.empty((3, t_len, batch, h))
+    h_prev = c_prev = np.zeros((batch, h))
     for t in range(t_len):
-        z = net.wx @ x[t] + net.wh @ h_prev + net.b
-        preact[t] = z
-        gi[t] = expit(z[:h])
-        gf[t] = expit(z[h : 2 * h])
-        gg[t] = np.tanh(z[2 * h : 3 * h])
-        go[t] = expit(z[3 * h :])
-        cell[t] = gf[t] * c_prev + gi[t] * gg[t]
-        tanh_c[t] = np.tanh(cell[t])
-        hidden[t] = go[t] * tanh_c[t]
-        logits[t] = net.wo @ hidden[t] + net.bo
-        h_prev = hidden[t]
-        c_prev = cell[t]
-
-    cache = ForwardCache(
-        net=net,
-        frames=x,
-        preact=preact,
-        gate_i=gi,
-        gate_f=gf,
-        gate_g=gg,
-        gate_o=go,
-        cell=cell,
-        hidden=hidden,
-        tanh_cell=tanh_c,
-        logits=logits,
-        probs=_softmax_rows(logits),
-    )
-    return logits, cache
+        z = x_proj[t] + _gemv_rows(net.wh, h_prev) + net.b
+        expit(z, out=gates[t])
+        np.tanh(z[:, 2 * h : 3 * h], out=gg[t])
+        np.add(gf[t] * c_prev, gi[t] * gg[t], out=cell[t])
+        np.tanh(cell[t], out=tanh_c[t])
+        np.multiply(go[t], tanh_c[t], out=hidden[t])
+        h_prev, c_prev = hidden[t], cell[t]
+    logits = (_gemv_rows(net.wo, hidden.reshape(t_len * batch, h)) + net.bo).reshape(t_len, batch, o)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    cache = ForwardCache(net, x, gi, gf, gg, go, cell, hidden, tanh_c, logits, e / e.sum(axis=-1, keepdims=True))
+    return (logits[:, 0] if single else logits), cache
 
 
-def _check_labels(labels: np.ndarray, t_len: int, num_classes: int) -> np.ndarray:
+def _check_labels(labels: np.ndarray, shape: tuple[int, ...], num_classes: int) -> np.ndarray:
     lab = np.asarray(labels)
-    if lab.shape != (t_len,):
-        raise ShapeError(f"need one label per frame, got shape {lab.shape} for {t_len} frames")
-    if not np.issubdtype(lab.dtype, np.integer):
+    if lab.shape != shape:
+        raise ShapeError(f"need one label per frame, got shape {lab.shape} for frames {shape}")
+    if lab.dtype.kind not in "iu":
         raise LabelError(f"labels must be integers, got dtype {lab.dtype}")
     if lab.min() < 0 or lab.max() >= num_classes:
         raise LabelError(f"labels must lie in [0, {num_classes})")
@@ -237,79 +225,88 @@ def loss(logits: np.ndarray, labels: np.ndarray) -> float:
     if logits.ndim != 2:
         raise ShapeError(f"logits must be (T, classes), got {logits.shape}")
     t_len, o = logits.shape
-    lab = _check_labels(labels, t_len, o)
+    lab = _check_labels(labels, (t_len,), o)
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1))
     return float(np.mean(log_z - shifted[np.arange(t_len), lab]))
 
 
 def backward(net: Network, cache: ForwardCache, labels: np.ndarray) -> np.ndarray:
-    """Flat gradient of the mean-per-frame loss via BPTT."""
+    """Flat gradient of each sequence's mean-per-frame loss via BPTT.
+
+    Labels (T,) for a one-sequence cache give one gradient (P,); labels
+    (T, B) give one gradient per sequence, (B, P).
+    """
     if cache.net is not net:
         raise CacheError("cache was produced by a different network")
     d, h, o = net.dims.input_dim, net.dims.hidden_dim, net.dims.output_dim
-    t_len = cache.frames.shape[0]
-    lab = _check_labels(labels, t_len, o)
+    t_len, batch = cache.frames.shape[:2]
+    single = np.ndim(labels) == 1 and batch == 1
+    lab = _check_labels(labels, (t_len,) if single else (t_len, batch), o).reshape(t_len, batch)
 
     d_logits = cache.probs.copy()
-    d_logits[np.arange(t_len), lab] -= 1.0
+    d_logits.reshape(t_len * batch, o)[np.arange(t_len * batch), lab.ravel()] -= 1.0
     d_logits /= t_len
 
-    dwo = d_logits.T @ cache.hidden
+    dh_out = _gemv_rows(net.wo.T, d_logits.reshape(t_len * batch, o)).reshape(t_len, batch, h)
+    dwo = np.matmul(d_logits.transpose(1, 2, 0), cache.hidden.transpose(1, 0, 2))
     dbo = d_logits.sum(axis=0)
-    dwx = np.zeros_like(net.wx)
-    dwh = np.zeros_like(net.wh)
-    db = np.zeros(4 * h)
 
-    dh_next = np.zeros(h)
-    dc_next = np.zeros(h)
+    # dz = ((dcdh * f1) * f2) * f3, dcdh = [dc, dc, dc, dh]: each gate's BPTT
+    # product in its usual order (f3 = 1 where the cell candidate has one factor
+    # fewer). One outer product with [x_t, h_{t-1}, 1] accumulates dwx|dwh|db.
+    gi, gf, gg, go, tc = cache.gate_i, cache.gate_f, cache.gate_g, cache.gate_o, cache.tanh_cell
+    first = np.zeros((1, batch, h))
+    f1 = np.concatenate([gg, np.concatenate([first, cache.cell[:-1]]), gi, tc], axis=2)
+    f2 = np.concatenate([gi, gf, 1.0 - gg * gg, go], axis=2)
+    f3 = np.concatenate([1.0 - gi, 1.0 - gf, np.ones_like(gi), 1.0 - go], axis=2)
+    d_tanh = 1.0 - tc * tc
+    h_prev = np.concatenate([first, cache.hidden[:-1]])
+    inputs = np.concatenate([cache.frames, h_prev, np.ones((t_len, batch, 1))], axis=2)
+    d_w, outer = np.zeros((batch, 4 * h, inputs.shape[2])), np.empty((batch, 4 * h, inputs.shape[2]))
+    dcdh, dz = np.empty((batch, 4, h)), np.empty((batch, 4 * h))
+    dh_next = dc_next = first[0]
     for t in range(t_len - 1, -1, -1):
-        gi, gf, gg, go = cache.gate_i[t], cache.gate_f[t], cache.gate_g[t], cache.gate_o[t]
-        tc = cache.tanh_cell[t]
-        c_prev = cache.cell[t - 1] if t > 0 else np.zeros(h)
-        h_prev = cache.hidden[t - 1] if t > 0 else np.zeros(h)
+        dh = dh_out[t] + dh_next
+        dc = dc_next + dh * go[t] * d_tanh[t]
+        dcdh[:, :3] = dc[:, None]
+        dcdh[:, 3] = dh
+        np.multiply(dcdh.reshape(batch, 4 * h) * f1[t] * f2[t], f3[t], out=dz)
+        d_w += np.multiply(dz[:, :, None], inputs[t][:, None, :], out=outer)
+        dh_next = _gemv_rows(net.wh.T, dz)
+        dc_next = dc * gf[t]
 
-        dh = net.wo.T @ d_logits[t] + dh_next
-        dc = dc_next + dh * go * (1.0 - tc * tc)
-        dz = np.concatenate(
-            [
-                dc * gg * gi * (1.0 - gi),
-                dc * c_prev * gf * (1.0 - gf),
-                dc * gi * (1.0 - gg * gg),
-                dh * tc * go * (1.0 - go),
-            ]
-        )
-        dwx += np.outer(dz, cache.frames[t])
-        dwh += np.outer(dz, h_prev)
-        db += dz
-        dh_next = net.wh.T @ dz
-        dc_next = dc * gf
-
-    return np.concatenate([dwx.ravel(), dwh.ravel(), db, dwo.ravel(), dbo])
+    parts = [d_w[:, :, :d], d_w[:, :, d : d + h], d_w[:, :, d + h], dwo, dbo]
+    grads = np.concatenate([p.reshape(batch, -1) for p in parts], axis=1)
+    return grads[0] if single else grads
 
 
 def sequence_gradient(net: Network, frames: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Forward plus backward for one sequence."""
-    _, cache = forward(net, frames)
-    return backward(net, cache, labels)
+    return backward(net, forward(net, frames)[1], labels)
 
 
 def per_example_gradients(net: Network, batch: Sequence) -> list[np.ndarray]:
     """One flat gradient per sequence, in batch order.
 
     Accepts anything with ``frames`` and ``labels`` attributes, or
-    (frames, labels) pairs.
+    (frames, labels) pairs. Every item is checked before any gradient is
+    computed; sequences of equal length then go through the kernel together.
     """
     if len(batch) == 0:
         raise EmptyDataset("gradient batch must be non-empty")
-    grads = []
-    for item in batch:
-        if hasattr(item, "frames"):
-            frames, labels = item.frames, item.labels
-        else:
-            frames, labels = item
-        grads.append(sequence_gradient(net, frames, labels))
-    return grads
+    by_length: dict[int, list] = {}
+    for i, item in enumerate(batch):
+        frames, labels = (item.frames, item.labels) if hasattr(item, "frames") else item
+        x = _check_frames(frames, net.dims.input_dim, (2,))
+        lab = _check_labels(labels, (len(x),), net.dims.output_dim)
+        by_length.setdefault(len(x), []).append((i, x, lab))
+    grads = np.empty((len(batch), net.parameter_count))
+    for group in by_length.values():
+        rows, xs, labs = zip(*group)
+        _, cache = forward(net, np.array(xs).swapaxes(0, 1))
+        grads[list(rows)] = backward(net, cache, np.array(labs).T)
+    return list(grads)
 
 
 def apply_update(net: Network, grad: np.ndarray, lr: float) -> Network:

@@ -116,6 +116,27 @@ def test_accuracy_errors():
         accuracy(net, bad)
 
 
+def test_accuracy_mixed_lengths_matches_per_sequence_predictions():
+    dims = NetworkDims(3, 6, 4)
+    net = init_network(dims, RandomSource(8))
+    rng = RandomSource(9)
+    seqs = []
+    for i, t_len in enumerate((7, 3, 7, 1, 3, 7, 12)):
+        frames = rng.derive("x", i).normals((t_len, 3))
+        labels = (rng.derive("y", i).uniforms(t_len) * 4).astype(np.int64)
+        seqs.append(FeatureSequence(i % 3, frames, labels))
+    report = accuracy(net, Dataset(3, 4, tuple(seqs)))
+    hits = {spk: 0 for spk in range(3)}
+    frames_seen = {spk: 0 for spk in range(3)}
+    for seq in seqs:
+        hits[seq.speaker_id] += int((predict_labels(net, seq.frames) == seq.labels).sum())
+        frames_seen[seq.speaker_id] += seq.n_frames
+    assert [(s.speaker_id, s.n_frames, s.n_correct) for s in report.speakers] == [
+        (spk, frames_seen[spk], hits[spk]) for spk in range(3)
+    ]
+    assert (report.n_frames, report.n_correct) == (sum(frames_seen.values()), sum(hits.values()))
+
+
 def test_predict_labels_tie_breaks_low():
     dims = NetworkDims(2, 3, 4)
     net = zero_network(dims)

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
+from dpfed import network
 from dpfed.errors import CacheError, EmptyDataset, FormatError, InvalidValue, LabelError, ShapeError
 from dpfed.network import (
     Network,
@@ -137,8 +139,6 @@ def test_loss_max_subtraction_survives_large_logits():
     logits[:, 0] += 1.0
     val = loss(logits, np.array([0, 0]))
     assert math.isfinite(val)
-    shifted = np.array([1.0, 0.0, 0.0])
-    expected = math.log(np.exp(shifted - 1.0).sum()) + 1.0 - 1.0
     assert val == pytest.approx(math.log(np.exp([0.0, -1.0, -1.0]).sum()), rel=1e-12)
 
 
@@ -193,6 +193,97 @@ def test_per_example_gradients_order_and_empty():
     assert len(grads) == 3
     for (frames, labels), g in zip(batch, grads):
         assert np.array_equal(g, sequence_gradient(net, frames, labels))
+    with pytest.raises(EmptyDataset):
+        per_example_gradients(net, [])
+
+
+def _reference_gradient(net, frames, labels):
+    """One sequence, one frame at a time: the literal per-timestep LSTM.
+
+    Returns (logits, flat gradient). The batched kernel must reproduce
+    these bits exactly, whatever else shares the batch.
+    """
+    h, t_len = net.dims.hidden_dim, len(frames)
+    gi, gf, gg, go, cell, hidden, tanh_c = (np.empty((t_len, h)) for _ in range(7))
+    logits = np.empty((t_len, net.dims.output_dim))
+    h_prev = c_prev = np.zeros(h)
+    for t in range(t_len):
+        z = net.wx @ frames[t] + net.wh @ h_prev + net.b
+        gi[t], gf[t], gg[t], go[t] = expit(z[:h]), expit(z[h : 2 * h]), np.tanh(z[2 * h : 3 * h]), expit(z[3 * h :])
+        cell[t] = gf[t] * c_prev + gi[t] * gg[t]
+        tanh_c[t] = np.tanh(cell[t])
+        hidden[t] = go[t] * tanh_c[t]
+        logits[t] = net.wo @ hidden[t] + net.bo
+        h_prev, c_prev = hidden[t], cell[t]
+
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    d_logits = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+    d_logits[np.arange(t_len), labels] -= 1.0
+    d_logits /= t_len
+    dwo, dbo = d_logits.T @ hidden, d_logits.sum(axis=0)
+    dwx, dwh, db = np.zeros_like(net.wx), np.zeros_like(net.wh), np.zeros(4 * h)
+    dh_next = dc_next = np.zeros(h)
+    for t in range(t_len - 1, -1, -1):
+        c_prev = cell[t - 1] if t > 0 else np.zeros(h)
+        h_prev = hidden[t - 1] if t > 0 else np.zeros(h)
+        dh = net.wo.T @ d_logits[t] + dh_next
+        dc = dc_next + dh * go[t] * (1.0 - tanh_c[t] * tanh_c[t])
+        dz = np.concatenate(
+            [
+                dc * gg[t] * gi[t] * (1.0 - gi[t]),
+                dc * c_prev * gf[t] * (1.0 - gf[t]),
+                dc * gi[t] * (1.0 - gg[t] * gg[t]),
+                dh * tanh_c[t] * go[t] * (1.0 - go[t]),
+            ]
+        )
+        dwx += np.outer(dz, frames[t])
+        dwh += np.outer(dz, h_prev)
+        db += dz
+        dh_next = net.wh.T @ dz
+        dc_next = dc * gf[t]
+    return logits, np.concatenate([dwx.ravel(), dwh.ravel(), db, dwo.ravel(), dbo])
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 3, 4), (3, 4, 5), (7, 9, 3), (13, 16, 32)])
+def test_batched_kernel_matches_per_timestep_reference_bit_for_bit(dims):
+    d, _, o = dims
+    rng = RandomSource(17).derive(*dims)
+    net = init_network(NetworkDims(*dims), rng.derive("net"))
+    for batch_size in (1, 3, 4, 12, 64):
+        for t_len in (1, 5, 30):
+            src = rng.derive("batch", batch_size, t_len)
+            batch = [
+                (src.derive("x", i).normals((t_len, d)) * 2.0, (src.derive("y", i).uniforms(t_len) * o).astype(np.int64))
+                for i in range(batch_size)
+            ]
+            grads = per_example_gradients(net, batch)
+            logits, _ = forward(net, np.stack([frames for frames, _ in batch], axis=1))
+            for b, (frames, labels) in enumerate(batch):
+                ref_logits, ref_grad = _reference_gradient(net, frames, labels)
+                assert grads[b].tobytes() == ref_grad.tobytes(), (batch_size, t_len, b)
+                assert logits[:, b].tobytes() == ref_logits.tobytes(), (batch_size, t_len, b)
+                assert forward(net, frames)[0].tobytes() == ref_logits.tobytes()
+
+
+def test_per_example_gradients_mixed_lengths_and_bad_items(monkeypatch):
+    net = init_network(NetworkDims(3, 4, 5), RandomSource(12))
+    rng = RandomSource(13)
+    batch = [(rng.derive("x", i).normals((t, 3)), np.arange(t) % 5) for i, t in enumerate((5, 3, 5, 1))]
+    grads = per_example_gradients(net, batch)
+    assert len(grads) == 4
+    for (frames, labels), g in zip(batch, grads):
+        assert np.array_equal(g, sequence_gradient(net, frames, labels))
+
+    calls = []
+    monkeypatch.setattr(network, "forward", lambda *a: calls.append(a) or forward(*a))
+    for bad, error in [
+        ((np.zeros((4, 2)), np.zeros(4, dtype=np.int64)), ShapeError),
+        ((np.zeros((4, 3)), np.array([0, 1, 5, 0])), LabelError),
+        ((np.zeros((4, 3)), np.zeros(3, dtype=np.int64)), ShapeError),
+    ]:
+        with pytest.raises(error):
+            per_example_gradients(net, batch + [bad])
+    assert calls == []
     with pytest.raises(EmptyDataset):
         per_example_gradients(net, [])
 
