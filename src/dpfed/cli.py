@@ -6,8 +6,11 @@ session, ``simulate`` for the same session in one process, and ``eval``
 for accuracy reports and the membership gap probe.
 
 Every training or synthesis command takes an explicit --seed; there is
-no ambient randomness. Flags may also be supplied through a flat
-key=value config file (flags override the file).
+no ambient randomness. Each setting is declared once in ``SETTINGS``
+with its config key, argparse dest, parser and default. A value from a
+flag, from a flat key=value config file or from the default goes
+through the same parser; a flag beats the file, the file beats the
+default.
 
 Exit codes: 0 success, 2 usage or validation error, 3 transport setup
 failure, 4 protocol abort, 5 privacy budget exhaustion.
@@ -19,9 +22,9 @@ import argparse
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .data import (
-    Dataset,
     OutlierSpec,
     SynthSpec,
     filter_speakers,
@@ -59,47 +62,95 @@ EXIT_TRANSPORT = 3
 EXIT_PROTOCOL = 4
 EXIT_BUDGET = 5
 
-CONFIG_KEYS = frozenset(
-    {
-        "dp.epsilon_step",
-        "dp.delta_step",
-        "dp.clip",
-        "dp.noise_override",
-        "dp.noisy",
-        "train.lr",
-        "train.batch",
-        "train.epochs",
-        "fed.addr",
-        "fed.workers",
-        "fed.steps",
-        "fed.worker_id",
-        "model.input_dim",
-        "model.hidden",
-        "model.classes",
-        "budget.eps",
-        "budget.delta",
-        "data.path",
-        "seed",
-    }
-)
 
-SYNTH_KEYS = frozenset(
-    {
-        "feature_dim",
-        "num_classes",
-        "n_speakers",
-        "sequences_per_speaker",
-        "frames_per_sequence",
-        "speaker_offset_scale",
-        "noise_scale",
-        "outlier.speaker",
-        "outlier.multiplier",
-    }
-)
+def _as_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
 
 
-def _read_kv(path: str, known: frozenset[str]) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _as_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _as_seconds(text: str) -> float:
+    value = _as_float(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"expected a positive number of seconds, got {text!r}")
+    return value
+
+
+def _as_bool(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in ("true", "1", "yes"):
+        return True
+    if lowered in ("false", "0", "no"):
+        return False
+    raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
+
+
+def _as_addr(text: str) -> tuple[str, int]:
+    host, sep, port = text.rpartition(":")
+    if not sep or not host:
+        raise argparse.ArgumentTypeError(f"address must be host:port, got {text!r}")
+    number = _as_int(port)
+    if not 0 <= number <= 65535:
+        raise argparse.ArgumentTypeError(f"port must lie in 0-65535, got {number}")
+    return host, number
+
+
+class Setting(NamedTuple):
+    dest: str  # argparse dest of every flag for the setting
+    parse: Callable[[str], object]  # for flags, file values and the default alike
+    default: str | None  # None: the setting has no default
+
+
+SETTINGS = {
+    "dp.epsilon_step": Setting("epsilon_step", _as_float, "100"),
+    "dp.delta_step": Setting("delta_step", _as_float, "1e-6"),
+    "dp.clip": Setting("clip", _as_float, "1"),
+    "dp.noise_override": Setting("noise_override", _as_float, None),
+    "dp.noisy": Setting("noisy", _as_bool, "true"),
+    "train.lr": Setting("lr", _as_float, "1e-4"),
+    "train.batch": Setting("batch", _as_int, "4"),
+    "train.epochs": Setting("epochs", _as_int, "51"),
+    "fed.addr": Setting("addr", _as_addr, "127.0.0.1:0"),
+    "fed.workers": Setting("workers", _as_int, None),
+    "fed.steps": Setting("steps", _as_int, None),
+    "fed.worker_id": Setting("worker_id", _as_int, None),
+    "model.input_dim": Setting("input_dim", _as_int, None),
+    "model.hidden": Setting("hidden", _as_int, "16"),
+    "model.classes": Setting("classes", _as_int, None),
+    "budget.eps": Setting("budget_eps", _as_float, None),
+    "budget.delta": Setting("budget_delta", _as_float, None),
+    "data.path": Setting("data", str, None),
+    "seed": Setting("seed", _as_int, None),
+}
+
+# synthesis recipe keys; SynthSpec holds their defaults
+SYNTH_KEYS = {
+    "feature_dim": _as_int,
+    "num_classes": _as_int,
+    "n_speakers": _as_int,
+    "sequences_per_speaker": _as_int,
+    "frames_per_sequence": _as_int,
+    "speaker_offset_scale": _as_float,
+    "noise_scale": _as_float,
+    "outlier.speaker": _as_int,
+    "outlier.multiplier": _as_float,
+}
+
+
+def _read_kv(path: str, parsers: dict[str, Callable[[str], object]]) -> dict[str, object]:
+    """Parse a flat key=value file; an unknown key or a bad value is a usage error."""
+    values: dict[str, object] = {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -111,90 +162,50 @@ def _read_kv(path: str, known: frozenset[str]) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = key.strip(), value.strip()
-        if key not in known:
+        key = key.strip()
+        if key not in parsers:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value
+        try:
+            values[key] = parsers[key](value.strip())
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
-def _as_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise UsageError(f"expected an integer, got {text!r}") from exc
+def _settings(ns, path: str | None, *required: str):
+    """Fill every setting in ``ns`` that no flag gave from the config file
+    at ``path``, else from its default. A ``required`` setting has to come
+    from a flag or the file."""
+    values = _read_kv(path, {key: s.parse for key, s in SETTINGS.items()}) if path else {}
+    for key, (dest, parse, default) in SETTINGS.items():
+        if getattr(ns, dest, None) is not None:
+            continue
+        if key in values:
+            setattr(ns, dest, values[key])
+        elif key in required:
+            raise UsageError(f"missing required setting {key} (flag or config)")
+        else:
+            setattr(ns, dest, None if default is None else parse(default))
+    return ns
 
 
-def _as_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise UsageError(f"expected a number, got {text!r}") from exc
-    if not math.isfinite(value):
-        raise UsageError(f"expected a finite number, got {text!r}")
-    return value
-
-
-def _as_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise UsageError(f"expected true or false, got {text!r}")
-
-
-def _bool_flag(text: str) -> bool:
-    try:
-        return _as_bool(text)
-    except UsageError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-_MISSING = object()
-
-
-def _pick(flag_value, cfg: dict[str, str], key: str, cast, default=_MISSING):
-    """Resolve one setting: flag beats config file beats default."""
-    if flag_value is not None:
-        return flag_value
-    if key in cfg:
-        return cast(cfg[key])
-    if default is _MISSING:
-        raise UsageError(f"missing required setting {key} (flag or config)")
-    return default
-
-
-def _parse_addr(text: str) -> tuple[str, int]:
-    host, sep, port = text.rpartition(":")
-    if not sep or not host:
-        raise UsageError(f"address must be host:port, got {text!r}")
-    return host, _as_int(port)
-
-
-def _load_config(path: str | None) -> dict[str, str]:
-    return _read_kv(path, CONFIG_KEYS) if path else {}
-
-
-def _require_seed(args, cfg: dict[str, str]) -> int:
-    seed = _pick(args.seed, cfg, "seed", _as_int, None)
-    if seed is None:
-        raise UsageError("--seed is required (no ambient randomness)")
-    return seed
-
-
-def _dp_config(args, cfg: dict[str, str]) -> DpSgdConfig:
+def _dp_config(ns) -> DpSgdConfig:
     return DpSgdConfig(
-        clip_bound=_pick(args.clip, cfg, "dp.clip", _as_float, 1.0),
-        step_params=PrivacyParams(
-            _pick(args.epsilon_step, cfg, "dp.epsilon_step", _as_float, 100.0),
-            _pick(args.delta_step, cfg, "dp.delta_step", _as_float, 1e-6),
-        ),
-        learning_rate=_pick(args.lr, cfg, "train.lr", _as_float, 1e-4),
-        batch_size=_pick(args.batch, cfg, "train.batch", _as_int, 4),
-        noise_override=_pick(args.noise_override, cfg, "dp.noise_override", _as_float, None),
-        noisy=_pick(args.noisy, cfg, "dp.noisy", _as_bool, True),
+        clip_bound=ns.clip,
+        step_params=PrivacyParams(ns.epsilon_step, ns.delta_step),
+        learning_rate=ns.lr,
+        batch_size=ns.batch,
+        noise_override=ns.noise_override,
+        noisy=ns.noisy,
     )
+
+
+def _start_model(args, input_dim: int | None, classes: int | None, seed: int | None) -> dict:
+    """The session's start model: the --init-model file, else a seeded init."""
+    if args.init_model:
+        start = Network.load(args.init_model)
+        return {"dims": start.dims, "init_parameters": start.flatten()}
+    return {"dims": NetworkDims(input_dim, args.hidden, classes), "init_seed": seed}
 
 
 def _print_summary(summary) -> None:
@@ -213,27 +224,13 @@ def _abort_exit(aborted: int | None) -> int:
 
 
 def cmd_synth(args) -> int:
+    _settings(args, None, "seed")
     values = _read_kv(args.spec, SYNTH_KEYS) if args.spec else {}
-    outlier = None
-    if "outlier.speaker" in values or "outlier.multiplier" in values:
-        if not ("outlier.speaker" in values and "outlier.multiplier" in values):
-            raise UsageError("outlier.speaker and outlier.multiplier go together")
-        outlier = OutlierSpec(
-            speaker_index=_as_int(values["outlier.speaker"]),
-            offset_multiplier=_as_float(values["outlier.multiplier"]),
-        )
-    spec = SynthSpec(
-        feature_dim=_as_int(values.get("feature_dim", "13")),
-        num_classes=_as_int(values.get("num_classes", "32")),
-        n_speakers=_as_int(values.get("n_speakers", "6")),
-        sequences_per_speaker=_as_int(values.get("sequences_per_speaker", "10")),
-        frames_per_sequence=_as_int(values.get("frames_per_sequence", "50")),
-        speaker_offset_scale=_as_float(values.get("speaker_offset_scale", "0.35")),
-        noise_scale=_as_float(values.get("noise_scale", "0.25")),
-        outlier=outlier,
-    )
-    if args.seed is None:
-        raise UsageError("--seed is required (no ambient randomness)")
+    speaker, multiplier = values.pop("outlier.speaker", None), values.pop("outlier.multiplier", None)
+    if (speaker is None) != (multiplier is None):
+        raise UsageError("outlier.speaker and outlier.multiplier go together")
+    outlier = None if speaker is None else OutlierSpec(speaker, multiplier)
+    spec = SynthSpec(**values, outlier=outlier)
     dataset = synth_generate(spec, RandomSource(args.seed))
     write_dataset(dataset, args.out)
     print(f"wrote {args.out}")
@@ -259,61 +256,40 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_warm_start(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _require_seed(args, cfg)
-    dataset = read_dataset(_pick(args.data, cfg, "data.path", str))
+    _settings(args, args.config, "seed", "data.path")
+    dataset = read_dataset(args.data)
     if dataset.n_sequences == 0:
         raise UsageError("dataset has no sequences to train on")
-    epochs = _pick(args.epochs, cfg, "train.epochs", _as_int, 51)
-    lr = _pick(args.lr, cfg, "train.lr", _as_float, 1e-4)
-    batch = _pick(args.batch, cfg, "train.batch", _as_int, 4)
-    root = RandomSource(seed)
+    root = RandomSource(args.seed)
     if args.init_model:
         net = Network.load(args.init_model)
     else:
         dims = NetworkDims(
-            input_dim=_pick(None, cfg, "model.input_dim", _as_int, dataset.feature_dim),
-            hidden_dim=_pick(args.hidden, cfg, "model.hidden", _as_int, 16),
-            output_dim=_pick(None, cfg, "model.classes", _as_int, dataset.num_classes),
+            input_dim=dataset.feature_dim if args.input_dim is None else args.input_dim,
+            hidden_dim=args.hidden,
+            output_dim=dataset.num_classes if args.classes is None else args.classes,
         )
         net = init_network(dims, root.derive("init"))
-    trained = warm_start(net, dataset.sequences, epochs, lr, batch, root.derive("warm"))
+    trained = warm_start(net, dataset.sequences, args.epochs, args.lr, args.batch, root.derive("warm"))
     trained.save(args.out)
     print(f"wrote {args.out}")
-    print(f"epochs     {epochs}")
+    print(f"epochs     {args.epochs}")
     print(f"parameters {trained.parameter_count}")
     return EXIT_OK
 
 
 def cmd_coordinator(args) -> int:
-    cfg = _load_config(args.config)
-    host, port = _parse_addr(_pick(args.listen, cfg, "fed.addr", str, "127.0.0.1:0"))
-    init_seed = None
-    init_parameters = None
-    if args.init_model:
-        start = Network.load(args.init_model)
-        dims = start.dims
-        init_parameters = start.flatten()
-    else:
-        seed_val = _pick(args.seed, cfg, "seed", _as_int, None)
-        if seed_val is None:
-            raise UsageError("need --init-model or --seed for the initial model")
-        init_seed = seed_val
-        dims = NetworkDims(
-            input_dim=_pick(args.input_dim, cfg, "model.input_dim", _as_int),
-            hidden_dim=_pick(args.hidden, cfg, "model.hidden", _as_int),
-            output_dim=_pick(args.classes, cfg, "model.classes", _as_int),
-        )
+    seeded = () if args.init_model else ("seed", "model.input_dim", "model.classes")
+    _settings(args, args.config, "fed.workers", "fed.steps", *seeded)
+    host, port = args.addr
     session = SessionConfig(
-        n_workers=_pick(args.workers, cfg, "fed.workers", _as_int),
-        total_steps=_pick(args.steps, cfg, "fed.steps", _as_int),
-        learning_rate=_pick(args.lr, cfg, "train.lr", _as_float, 1e-4),
-        dims=dims,
-        init_seed=init_seed,
-        init_parameters=init_parameters,
+        n_workers=args.workers,
+        total_steps=args.steps,
+        learning_rate=args.lr,
         host=host,
         port=port,
         timeout=args.timeout,
+        **_start_model(args, args.input_dim, args.classes, args.seed),
     )
     coordinator = Coordinator(session)
     bound_host, bound_port = coordinator.bind()
@@ -327,21 +303,18 @@ def cmd_coordinator(args) -> int:
 
 
 def cmd_worker(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _require_seed(args, cfg)
-    address = _parse_addr(_pick(args.connect, cfg, "fed.addr", str))
-    dataset = read_dataset(_pick(args.data, cfg, "data.path", str))
-    spec = WorkerSpec(
-        worker_id=_pick(args.worker_id, cfg, "fed.worker_id", _as_int),
-        dp_config=_dp_config(args, cfg),
-        dataset=dataset,
-        budget=PrivacyParams(
-            _pick(args.budget_eps, cfg, "budget.eps", _as_float),
-            _pick(args.budget_delta, cfg, "budget.delta", _as_float),
-        ),
-        seed=seed,
+    _settings(
+        args, args.config,
+        "seed", "fed.addr", "data.path", "fed.worker_id", "budget.eps", "budget.delta",
     )
-    result = worker_run(address, spec, timeout=args.timeout)
+    spec = WorkerSpec(
+        worker_id=args.worker_id,
+        dp_config=_dp_config(args),
+        dataset=read_dataset(args.data),
+        budget=PrivacyParams(args.budget_eps, args.budget_delta),
+        seed=args.seed,
+    )
+    result = worker_run(args.addr, spec, timeout=args.timeout)
     if args.out:
         result.network.save(args.out)
         print(f"wrote {args.out}")
@@ -355,60 +328,30 @@ def cmd_worker(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    worker_cfgs = [_load_config(path) for path in args.workers_config]
-    datasets = [read_dataset(_pick(None, cfg, "data.path", str)) for cfg in worker_cfgs]
+    workers = [_settings(argparse.Namespace(), path, "data.path") for path in args.workers_config]
+    _settings(args, args.workers_config[0])  # --lr and --hidden fall back to the first file
+    datasets = [read_dataset(w.data) for w in workers]
     feature_dims = {ds.feature_dim for ds in datasets}
     class_counts = {ds.num_classes for ds in datasets}
     if len(feature_dims) != 1 or len(class_counts) != 1:
         raise UsageError("worker datasets disagree on feature_dim or classes")
     root = RandomSource(args.seed)
-    first = worker_cfgs[0]
-    if args.init_model:
-        start = Network.load(args.init_model)
-        dims = start.dims
-        init_seed, init_parameters = None, start.flatten()
-    else:
-        dims = NetworkDims(
-            input_dim=feature_dims.pop(),
-            hidden_dim=_pick(args.hidden, first, "model.hidden", _as_int, 16),
-            output_dim=class_counts.pop(),
-        )
-        init_seed, init_parameters = root.derive_seed("init"), None
-    steps = args.steps
-
-    def budget(cfg: dict[str, str], dp: DpSgdConfig) -> PrivacyParams:
-        # default budget covers exactly the requested steps, summed the
-        # same way the ledger will sum them
-        eps = _pick(None, cfg, "budget.eps", _as_float, None)
-        delta = _pick(None, cfg, "budget.delta", _as_float, None)
-        if eps is None:
-            eps = math.fsum([dp.step_params.epsilon] * steps)
-        if delta is None:
-            delta = math.fsum([dp.step_params.delta] * steps)
-        return PrivacyParams(eps, delta)
-
-    class _NoFlags:
-        clip = epsilon_step = delta_step = lr = batch = noise_override = noisy = None
-
     specs = []
-    for wid, cfg in enumerate(worker_cfgs):
-        dp = _dp_config(_NoFlags, cfg)
-        specs.append(
-            WorkerSpec(
-                worker_id=wid,
-                dp_config=dp,
-                dataset=datasets[wid],
-                budget=budget(cfg, dp),
-                seed=_pick(None, cfg, "seed", _as_int, root.derive_seed("worker", wid)),
-            )
+    for wid, w in enumerate(workers):
+        dp = _dp_config(w)
+        # the default budget covers exactly the requested steps, summed the
+        # same way the ledger will sum them
+        budget = PrivacyParams(
+            math.fsum([dp.step_params.epsilon] * args.steps) if w.budget_eps is None else w.budget_eps,
+            math.fsum([dp.step_params.delta] * args.steps) if w.budget_delta is None else w.budget_delta,
         )
+        seed = root.derive_seed("worker", wid) if w.seed is None else w.seed
+        specs.append(WorkerSpec(wid, dp, datasets[wid], budget, seed))
     session = SessionConfig(
         n_workers=len(specs),
-        total_steps=steps,
-        learning_rate=_pick(args.lr, first, "train.lr", _as_float, 1e-4),
-        dims=dims,
-        init_seed=init_seed,
-        init_parameters=init_parameters,
+        total_steps=args.steps,
+        learning_rate=args.lr,
+        **_start_model(args, feature_dims.pop(), class_counts.pop(), root.derive_seed("init")),
     )
     result = inproc_session(session, specs)
     out_dir = Path(args.out_dir) if args.out_dir else None
@@ -449,17 +392,24 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _flag(p, key: str, flag: str, help: str, **kw) -> None:
+    """Add ``flag`` for the setting ``key``; ``{}`` in ``help`` shows its default."""
+    dest, parse, default = SETTINGS[key]
+    p.add_argument(flag, dest=dest, type=parse, help=help.format(default), **kw)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dpfed",
         description="Differentially private federated training of a frame classifier.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    timeout = dict(type=_as_seconds, default=60.0, help="socket timeout seconds (default %(default)s)")
 
     p = sub.add_parser("synth", help="generate a synthetic SENO corpus")
     p.add_argument("--spec", help="key=value synthesis recipe file")
     p.add_argument("--out", required=True, help="output dataset path")
-    p.add_argument("--seed", type=int, help="generator seed (required)")
+    _flag(p, "seed", "--seed", "generator seed (required)")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("inspect", help="summarize a SENO dataset file")
@@ -467,49 +417,48 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("warm-start", help="non-private pretraining on public data")
-    p.add_argument("--data", help="training dataset path")
-    p.add_argument("--epochs", type=int, help="training epochs (default 51)")
-    p.add_argument("--lr", type=float, help="learning rate (default 1e-4)")
-    p.add_argument("--batch", type=int, help="batch size (default 4)")
-    p.add_argument("--hidden", type=int, help="hidden units when initializing fresh (default 16)")
+    _flag(p, "data.path", "--data", "training dataset path")
+    _flag(p, "train.epochs", "--epochs", "training epochs (default {})")
+    _flag(p, "train.lr", "--lr", "learning rate (default {})")
+    _flag(p, "train.batch", "--batch", "batch size (default {})")
+    _flag(p, "model.hidden", "--hidden", "hidden units when initializing fresh (default {})")
     p.add_argument("--init-model", help="start from this model instead of a fresh init")
     p.add_argument("--out", required=True, help="output model path")
-    p.add_argument("--seed", type=int, help="training seed (required)")
+    _flag(p, "seed", "--seed", "training seed (required)")
     p.add_argument("--config", help="key=value config file")
     p.set_defaults(func=cmd_warm_start)
 
     p = sub.add_parser("coordinator", help="run the TCP session coordinator")
-    p.add_argument("--listen", help="host:port to listen on (default 127.0.0.1:0)")
-    p.add_argument("--workers", type=int, help="number of workers to wait for")
-    p.add_argument("--steps", type=int, help="federated steps to run")
-    p.add_argument("--lr", type=float, help="learning rate sent in INIT (default 1e-4)")
+    _flag(p, "fed.addr", "--listen", "address to listen on (default {})", metavar="HOST:PORT")
+    _flag(p, "fed.workers", "--workers", "number of workers to wait for")
+    _flag(p, "fed.steps", "--steps", "federated steps to run")
+    _flag(p, "train.lr", "--lr", "learning rate sent in INIT (default {})")
     p.add_argument("--init-model", help="initial model file; otherwise --seed initializes")
-    p.add_argument("--seed", type=int, help="init seed when no --init-model")
-    p.add_argument("--input-dim", type=int, help="model input dim (with --seed)")
-    p.add_argument("--hidden", type=int, help="model hidden units (with --seed)")
-    p.add_argument("--classes", type=int, help="model classes (with --seed)")
-    p.add_argument("--timeout", type=float, default=60.0, help="socket timeout seconds")
+    _flag(p, "seed", "--seed", "init seed when no --init-model")
+    _flag(p, "model.input_dim", "--input-dim", "model input dim (with --seed)")
+    _flag(p, "model.hidden", "--hidden", "model hidden units (with --seed, default {})")
+    _flag(p, "model.classes", "--classes", "model classes (with --seed)")
+    p.add_argument("--timeout", **timeout)
     p.add_argument("--transcript", help="write the message transcript here")
     p.add_argument("--config", help="key=value config file")
     p.set_defaults(func=cmd_coordinator)
 
     p = sub.add_parser("worker", help="run one TCP worker")
-    p.add_argument("--connect", help="coordinator host:port")
-    p.add_argument("--data", help="private dataset path")
-    p.add_argument("--worker-id", type=int, help="unique worker id")
-    p.add_argument("--budget-eps", type=float, help="total epsilon budget")
-    p.add_argument("--budget-delta", type=float, help="total delta budget")
-    p.add_argument("--epsilon-step", type=float, help="per-release epsilon (default 100)")
-    p.add_argument("--delta-step", type=float, help="per-release delta (default 1e-6)")
-    p.add_argument("--clip", type=float, help="L2 clip bound (default 1)")
-    p.add_argument("--noise-override", type=float, help="noise sigma override")
-    p.add_argument("--noisy", type=_bool_flag, help="true for private releases (default true)")
-    p.add_argument("--lr", type=float, help="worker-side learning rate bookkeeping")
-    p.add_argument("--batch", type=int, help="batch size (default 4)")
+    _flag(p, "fed.addr", "--connect", "coordinator address", metavar="HOST:PORT")
+    _flag(p, "data.path", "--data", "private dataset path")
+    _flag(p, "fed.worker_id", "--worker-id", "unique worker id")
+    _flag(p, "budget.eps", "--budget-eps", "total epsilon budget")
+    _flag(p, "budget.delta", "--budget-delta", "total delta budget")
+    _flag(p, "dp.epsilon_step", "--epsilon-step", "per-release epsilon (default {})")
+    _flag(p, "dp.delta_step", "--delta-step", "per-release delta (default {})")
+    _flag(p, "dp.clip", "--clip", "L2 clip bound (default {})")
+    _flag(p, "dp.noise_override", "--noise-override", "noise sigma override")
+    _flag(p, "dp.noisy", "--noisy", "true for private releases (default {})")
+    _flag(p, "train.batch", "--batch", "batch size (default {})")
     p.add_argument("--out", help="write the final model here")
     p.add_argument("--ledger", help="write the ledger report here")
-    p.add_argument("--timeout", type=float, default=60.0, help="socket timeout seconds")
-    p.add_argument("--seed", type=int, help="worker seed (required)")
+    p.add_argument("--timeout", **timeout)
+    _flag(p, "seed", "--seed", "worker seed (required)")
     p.add_argument("--config", help="key=value config file")
     p.set_defaults(func=cmd_worker)
 
@@ -518,10 +467,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers-config", nargs="+", required=True, metavar="FILE",
         help="one key=value config file per worker (needs data.path)",
     )
-    p.add_argument("--steps", type=int, required=True, help="federated steps to run")
-    p.add_argument("--seed", type=int, required=True, help="session seed")
-    p.add_argument("--lr", type=float, help="learning rate (default 1e-4)")
-    p.add_argument("--hidden", type=int, help="hidden units for a fresh init (default 16)")
+    _flag(p, "fed.steps", "--steps", "federated steps to run", required=True)
+    _flag(p, "seed", "--seed", "session seed", required=True)
+    _flag(p, "train.lr", "--lr", "learning rate (default {})")
+    _flag(p, "model.hidden", "--hidden", "hidden units for a fresh init (default {})")
     p.add_argument("--init-model", help="initial model file; otherwise seeded init")
     p.add_argument("--report", help="write the accuracy table here as TSV")
     p.add_argument("--out-dir", help="write models, ledgers and transcript here")
@@ -531,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model to evaluate")
     p.add_argument("--data", required=True, help="evaluation dataset")
     p.add_argument("--baseline", help="baseline model for the gap probe")
-    p.add_argument("--probe-speaker", type=int, help="speaker id to probe")
+    p.add_argument("--probe-speaker", type=_as_int, help="speaker id to probe")
     p.set_defaults(func=cmd_eval)
 
     return parser

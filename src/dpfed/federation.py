@@ -85,8 +85,8 @@ class SessionConfig:
             raise InvalidValue("learning rate must be finite and positive")
         if (self.init_seed is None) == (self.init_parameters is None):
             raise InvalidValue("need exactly one of init_seed or init_parameters")
-        if self.timeout <= 0.0:
-            raise InvalidValue("timeout must be positive")
+        if not (math.isfinite(self.timeout) and self.timeout > 0.0):
+            raise InvalidValue(f"timeout must be finite and positive, got {self.timeout}")
 
     def init_message(self) -> Init:
         return Init(
@@ -239,16 +239,36 @@ class SessionResult:
     summary: SessionSummary
 
 
-def _spent_totals(per_worker: dict[int, list[PrivacyParams]]) -> dict[int, PrivacyParams]:
-    return {
-        wid: PrivacyParams(
-            math.fsum(p.epsilon for p in entries), math.fsum(p.delta for p in entries)
-        )
-        for wid, entries in per_worker.items()
-    }
+class _Spend:
+    """One worker's declared spend: the entries, whose exact sums go into
+    the summary, and plain running sums. Below 1e300 for epsilon and 0.5
+    for delta the running sums show in O(1) that the exact sums are a
+    valid (epsilon, delta); past either mark ``fits`` asks ``math.fsum``."""
+
+    def __init__(self):
+        self.entries: list[PrivacyParams] = []
+        self.epsilon = self.delta = 0.0
+
+    def total(self, *more: PrivacyParams) -> PrivacyParams:
+        entries = self.entries + list(more)
+        return PrivacyParams(math.fsum(p.epsilon for p in entries), math.fsum(p.delta for p in entries))
+
+    def fits(self, spent: PrivacyParams) -> bool:
+        if self.epsilon + spent.epsilon < 1e300 and self.delta + spent.delta < 0.5:
+            return True
+        try:
+            self.total(spent)
+        except (OverflowError, InvalidValue):
+            return False
+        return True
+
+    def add(self, spent: PrivacyParams) -> None:
+        self.entries.append(spent)
+        self.epsilon += spent.epsilon
+        self.delta += spent.delta
 
 
-def _grad_fault(msg: Message, step: int, dims: NetworkDims) -> str | None:
+def _grad_fault(msg: Message, step: int, dims: NetworkDims, spend: _Spend) -> str | None:
     """Why ``msg`` is not an acceptable release for ``step``, or None."""
     if not isinstance(msg, Grad):
         return f"sent {type(msg).__name__.upper()} at step {step}"
@@ -261,6 +281,8 @@ def _grad_fault(msg: Message, step: int, dims: NetworkDims) -> str | None:
         return f"sent non-finite values at step {step}"
     if release.batch_size < 1:
         return f"sent batch size {release.batch_size} at step {step}"
+    if not spend.fits(release.spent):
+        return f"declared a total spend past any valid (epsilon, delta) at step {step}"
     return None
 
 
@@ -277,6 +299,14 @@ def _admit(link, links: dict, transcript: list[TranscriptEntry]) -> None:
     transcript.append(_entry("recv", hello.worker_id, hello, size))
 
 
+def _broadcast(links: dict, msg: Message, transcript: list[TranscriptEntry]) -> None:
+    for wid in sorted(links):
+        try:
+            transcript.append(_entry("send", wid, msg, links[wid].send(msg)))
+        except TransportError:
+            pass  # peers may already be gone during an abort
+
+
 def _run_rounds(
     cfg: SessionConfig,
     links: dict,
@@ -287,24 +317,20 @@ def _run_rounds(
 
     A worker's ABORT is relayed to everyone; a message that cannot be read
     or is not a valid GRAD for the round aborts the session with the
-    matching code. Every message read is recorded, rejected ones included.
+    matching code. A GRAD whose declared spend would take its worker's
+    total past a valid (epsilon, delta) is not valid. Every message read
+    is recorded, rejected ones included.
     """
     wids = sorted(links)
-    spent: dict[int, list[PrivacyParams]] = {wid: [] for wid in wids}
+    spend = {wid: _Spend() for wid in wids}
     steps_completed = 0
 
-    def broadcast(msg: Message) -> None:
-        for wid in wids:
-            try:
-                transcript.append(_entry("send", wid, msg, links[wid].send(msg)))
-            except TransportError:
-                pass  # peers may already be gone during an abort
-
     def finish(aborted: int | None, reason: str = "") -> SessionSummary:
-        broadcast(Done(steps_completed) if aborted is None else Abort(aborted, reason))
-        return SessionSummary(steps_completed, aborted, _spent_totals(spent))
+        msg = Done(steps_completed) if aborted is None else Abort(aborted, reason)
+        _broadcast(links, msg, transcript)
+        return SessionSummary(steps_completed, aborted, {wid: s.total() for wid, s in spend.items()})
 
-    broadcast(cfg.init_message())
+    _broadcast(links, cfg.init_message(), transcript)
     for step in range(cfg.total_steps):
         releases: list[GradientRelease] = []
         for wid in wids:
@@ -317,13 +343,13 @@ def _run_rounds(
             transcript.append(_entry("recv", wid, msg, size))
             if isinstance(msg, Abort):
                 return finish(msg.code, f"relayed from worker {wid}")
-            fault = _grad_fault(msg, step, cfg.dims)
+            fault = _grad_fault(msg, step, cfg.dims, spend[wid])
             if fault is not None:
                 return finish(ABORT_PROTOCOL, f"worker {wid} {fault}")
             releases.append(msg.release)
-        broadcast(Avg(step, average_releases(releases)))
+        _broadcast(links, Avg(step, average_releases(releases)), transcript)
         for wid, release in zip(wids, releases):
-            spent[wid].append(release.spent)
+            spend[wid].add(release.spent)
         steps_completed += 1
         if on_round is not None:
             on_round(step)
@@ -463,7 +489,8 @@ class Coordinator:
         return self.address
 
     def run(self) -> SessionSummary:
-        """Admit ``n_workers`` connections, then drive the session over them."""
+        """Admit ``n_workers`` connections, then drive the session over them.
+        If admission fails, the workers already admitted get an ABORT."""
         if self._listener is None:
             self.bind()
         cfg = self.cfg
@@ -479,6 +506,12 @@ class Coordinator:
                 # no legal worker frame is larger than a full GRAD
                 streams.append(MessageStream(conn, GRAD_HEADER_LEN + 8 * cfg.dims.parameter_count))
                 _admit(streams[-1], links, self.transcript)
+        except DpFedError as exc:
+            # tell the workers already admitted why no INIT will come
+            code = ABORT_TIMEOUT if isinstance(exc, TimedOut) else ABORT_PROTOCOL
+            _broadcast(links, Abort(code, str(exc)), self.transcript)
+            raise
+        else:
             return _run_rounds(cfg, links, self.transcript)
         finally:
             for stream in streams:
@@ -524,6 +557,8 @@ def worker_run(
     ledger even when the session aborts; the ledger then reflects exactly
     the releases that were emitted.
     """
+    if not (math.isfinite(timeout) and timeout > 0.0):
+        raise InvalidValue(f"timeout must be finite and positive, got {timeout}")
     host, port = address
     replica = WorkerReplica(spec)
     stream = MessageStream(_connect(host, port, timeout))

@@ -130,7 +130,8 @@ def gaussian_sigma(sensitivity: Sensitivity, params: PrivacyParams) -> float:
     """Noise level for the Gaussian mechanism at the given (epsilon, delta).
 
     sigma = sensitivity * sqrt(2 * ln(1.25 / delta)) / epsilon, the classic
-    calibration, valid for epsilon <= 1 and conservative above.
+    calibration. It is only valid for epsilon <= 1: above that this sigma
+    can be too small for the (epsilon, delta) claimed.
     """
     if params.delta <= 0.0:
         raise GaussianRequiresDelta("Gaussian mechanism needs delta > 0")

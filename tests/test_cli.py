@@ -1,11 +1,13 @@
 import socket
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 from dpfed.cli import main
+from dpfed.federation import Coordinator, SessionConfig
 from dpfed.network import Network, NetworkDims, init_network
 from dpfed.rng import RandomSource
 
@@ -244,3 +246,80 @@ def test_eval_shape_mismatch_is_usage_error(corpus, tmp_path):
     other = tmp_path / "other.seno"
     assert main(["synth", "--out", str(other), "--seed", "5"]) == 0  # 13-dim default
     assert main(["eval", "--model", str(model), "--data", str(other)]) == 2
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse refuses the flag itself
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "command, extra, config",
+    [
+        ("coordinator", ["--listen", "127.0.0.1:70000"], None),
+        ("coordinator", ["--timeout", "nan"], None),
+        ("worker", ["--timeout", "-1"], None),
+        ("worker", ["--timeout", "inf"], None),
+        ("worker", [], "dp.clip = nan\n"),
+        ("worker", ["--lr", "0.1"], None),
+    ],
+    ids=["port-out-of-range", "timeout-nan", "timeout-negative", "timeout-inf",
+         "config-clip-nan", "worker-lr-gone"],
+)
+def test_bad_values_are_usage_errors(command, extra, config, corpus, tmp_path):
+    # every other setting is valid, so the one bad value decides the outcome
+    base = {
+        "coordinator": ["--workers", "1", "--steps", "1", "--seed", "1", "--input-dim", "5",
+                        "--hidden", "6", "--classes", "6", "--timeout", "0.2"],
+        "worker": ["--connect", "127.0.0.1:1", "--data", str(corpus), "--worker-id", "0",
+                   "--budget-eps", "10", "--budget-delta", "0.1", "--seed", "1", "--timeout", "0.2"],
+    }[command]
+    if config is not None:
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text(config)
+        extra = [*extra, "--config", str(cfg)]
+    assert _exit_code([command, *base, *extra]) == 2
+
+
+def _worker_model(tmp_path, corpus, name, *argv):
+    # a one-worker session: library coordinator, CLI worker
+    coord = Coordinator(SessionConfig(1, 2, 0.05, NetworkDims(5, 6, 6), init_seed=3, timeout=30.0))
+    host, port = coord.bind()
+    thread = threading.Thread(target=coord.run)
+    thread.start()
+    out = tmp_path / f"{name}.net"
+    code = main(["worker", "--connect", f"{host}:{port}", "--data", str(corpus), "--worker-id", "0",
+                 "--budget-eps", "1000", "--budget-delta", "0.001", "--seed", "5",
+                 "--out", str(out), "--timeout", "30", *argv])
+    thread.join(timeout=30)
+    assert code == 0
+    return out.read_bytes()
+
+
+def test_flag_and_file_value_parse_alike(corpus, tmp_path):
+    cfg = tmp_path / "w.cfg"
+    cfg.write_text("dp.noisy = no\n")
+    by_flag = _worker_model(tmp_path, corpus, "flag", "--noisy", "no")
+    by_file = _worker_model(tmp_path, corpus, "file", "--config", str(cfg))
+    assert by_flag == by_file
+    assert by_flag != _worker_model(tmp_path, corpus, "noisy")  # the setting took effect
+
+
+def test_coordinator_seed_without_hidden_uses_default(capsys):
+    # gets past the settings and listens; then no worker comes (exit 3)
+    code = main(["coordinator", "--workers", "1", "--steps", "1", "--seed", "1",
+                 "--input-dim", "2", "--classes", "2", "--timeout", "0.2"])
+    assert code == 3
+    assert "listening on" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command", ["", "synth", "inspect", "warm-start", "coordinator", "worker", "simulate", "eval"]
+)
+def test_help_exits_zero(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: dpfed")

@@ -2,6 +2,7 @@ import re
 import socket
 import struct
 import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from dpfed.data import SynthSpec, synth_generate
 from dpfed.dpsgd import BatchSampler, DpSgdConfig, GradientRelease, per_example_gradients
-from dpfed.errors import InvalidValue, ProtocolError
+from dpfed.errors import DpFedError, InvalidValue, ProtocolError, TimedOut
 from dpfed.federation import (
     Coordinator,
     MessageStream,
@@ -27,6 +28,7 @@ from dpfed.wire import (
     ABORT_BUDGET,
     ABORT_DECODE,
     ABORT_PROTOCOL,
+    ABORT_TIMEOUT,
     MAGIC,
     TAG_GRAD,
     Abort,
@@ -34,6 +36,7 @@ from dpfed.wire import (
     Grad,
     Hello,
     Init,
+    abort_name,
     encode,
 )
 
@@ -124,6 +127,16 @@ def test_session_config_validation():
         session_cfg(1, 1, init_seed=None)
     with pytest.raises(InvalidValue):
         session_cfg(1, 1, init_parameters=np.zeros(DIMS.parameter_count))  # both sources
+    for timeout in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidValue):
+            session_cfg(1, 1, timeout=timeout)
+
+
+@pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf")])
+def test_worker_run_rejects_bad_timeout(timeout):
+    # refused before any socket is opened, so the address is never tried
+    with pytest.raises(InvalidValue):
+        worker_run(("127.0.0.1", 1), make_spec(0), timeout=timeout)
 
 
 def test_zero_steps_returns_init_model():
@@ -271,35 +284,42 @@ def test_duplicate_worker_ids_rejected():
         inproc_session(cfg, [make_spec(0), make_spec(0)])
 
 
-def _grad_frame(step=0, length=DIMS.parameter_count, fill=0.0, batch_size=1):
-    release = GradientRelease(step, np.full(length, fill), PrivacyParams(0.0, 0.0), 1.0, batch_size, False)
+def _grad_frame(step=0, length=DIMS.parameter_count, fill=0.0, batch_size=1, spent=(0.0, 0.0)):
+    release = GradientRelease(step, np.full(length, fill), PrivacyParams(*spent), 1.0, batch_size, False)
     return encode(Grad(release))
 
 
 @pytest.mark.parametrize(
-    "frame, code, recorded",
+    "frames, code, recorded",
     [
-        (_grad_frame(fill=float("nan")), ABORT_PROTOCOL, True),
-        (_grad_frame(length=DIMS.parameter_count - 1), ABORT_PROTOCOL, True),
-        (_grad_frame(step=1), ABORT_PROTOCOL, True),
-        (_grad_frame(batch_size=0), ABORT_PROTOCOL, True),
-        (_grad_frame(length=DIMS.parameter_count + 1), ABORT_DECODE, False),
-        (MAGIC + struct.pack("<BI", TAG_GRAD, 0xFFFFFFFF), ABORT_DECODE, False),
+        ([_grad_frame(fill=float("nan"))], ABORT_PROTOCOL, True),
+        ([_grad_frame(length=DIMS.parameter_count - 1)], ABORT_PROTOCOL, True),
+        ([_grad_frame(step=1)], ABORT_PROTOCOL, True),
+        ([_grad_frame(batch_size=0)], ABORT_PROTOCOL, True),
+        ([_grad_frame(length=DIMS.parameter_count + 1)], ABORT_DECODE, False),
+        ([MAGIC + struct.pack("<BI", TAG_GRAD, 0xFFFFFFFF)], ABORT_DECODE, False),
+        ([_grad_frame(spent=(1.0, 0.6)), _grad_frame(step=1, spent=(1.0, 0.6))], ABORT_PROTOCOL, True),
+        ([_grad_frame(spent=(1.7e308, 0.0)), _grad_frame(step=1, spent=(1.7e308, 0.0))], ABORT_PROTOCOL, True),
     ],
-    ids=["nan", "short", "wrong-step", "zero-batch", "over-long", "huge-header"],
+    ids=["nan", "short", "wrong-step", "zero-batch", "over-long", "huge-header",
+         "delta-total-past-1", "epsilon-total-overflows"],
 )
-def test_bad_worker_frame_aborts_session_cleanly(frame, code, recorded):
-    # worker 1 is a script that says HELLO, reads INIT and sends one bad frame
+def test_bad_worker_frame_aborts_session_cleanly(frames, code, recorded):
+    # worker 1 is a script that says HELLO, then answers INIT and each AVG
+    # with the next frame; every frame but the last is a valid GRAD
     cfg = session_cfg(2, 3, timeout=10.0)
     coord = Coordinator(cfg)
     address = coord.bind()
     box = {}
+    steps = len(frames) - 1
 
     def fake_worker():
         with socket.create_connection(address, timeout=10.0) as sock:
+            stream = MessageStream(sock)
             sock.sendall(encode(Hello(1)))
-            box["init"] = sock.recv(1 << 20)
-            sock.sendall(frame)
+            for frame in frames:
+                stream.recv()  # INIT, then the AVG of the step before
+                sock.sendall(frame)
             try:
                 box["reply"] = sock.recv(1 << 20)
             except OSError:
@@ -317,13 +337,56 @@ def test_bad_worker_frame_aborts_session_cleanly(frame, code, recorded):
         assert not t.is_alive(), "session hung"
 
     assert box["summary"].aborted == code
-    assert box["summary"].steps_completed == 0
+    assert box["summary"].steps_completed == steps
     assert box["honest"].aborted == code
-    assert box["honest"].steps_completed == 0
-    assert len(box["honest"].ledger.entries) == 1  # the release for step 0
+    assert box["honest"].steps_completed == steps
+    assert len(box["honest"].ledger.entries) == steps + 1  # with the release for the aborted step
     recv = [(e.worker_id, e.kind) for e in coord.transcript if e.direction == "recv"]
     assert ((1, "GRAD") in recv) == recorded
     assert [e.kind for e in coord.transcript][-2:] == ["ABORT", "ABORT"]
+
+
+@pytest.mark.parametrize(
+    "bad_peer, code, raised",
+    [(True, ABORT_PROTOCOL, ProtocolError), (False, ABORT_TIMEOUT, TimedOut)],
+    ids=["bad-hello", "accept-timeout"],
+)
+def test_failed_admission_aborts_admitted_workers(bad_peer, code, raised):
+    # an honest worker is admitted; then a raw socket says HELLO for protocol
+    # version 9, or nobody else connects before the coordinator's timeout
+    cfg = session_cfg(2, 3, timeout=10.0 if bad_peer else 0.5)
+    coord = Coordinator(cfg)
+    address = coord.bind()
+    box = {}
+
+    def run(name, fn):
+        try:
+            fn()
+        except DpFedError as exc:
+            box[name] = exc
+
+    threads = [
+        threading.Thread(target=run, args=("coordinator", coord.run)),
+        threading.Thread(target=run, args=("honest", lambda: worker_run(address, make_spec(0), 10.0))),
+    ]
+    for t in threads:
+        t.start()
+    if bad_peer:
+        deadline = time.monotonic() + 10.0
+        while not coord.transcript and time.monotonic() < deadline:
+            time.sleep(0.01)  # until the honest HELLO is in
+        with socket.create_connection(address, timeout=10.0) as sock:
+            sock.sendall(encode(Hello(1, protocol_version=9)))
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive(), "session hung"
+
+    assert isinstance(box["coordinator"], raised)
+    assert isinstance(box["honest"], ProtocolError)
+    assert f"ABORT ({abort_name(code)})" in str(box["honest"])
+    assert [(e.direction, e.worker_id, e.kind) for e in coord.transcript] == [
+        ("recv", 0, "HELLO"), ("send", 0, "ABORT"),
+    ]
 
 
 def test_worker_aborts_on_non_finite_average():
