@@ -62,6 +62,11 @@ from .wire import (
 )
 
 
+def _check_port(port: int) -> None:
+    if not 0 <= port <= 65535:
+        raise InvalidValue(f"port must be in 0-65535, got {port}")
+
+
 @dataclass
 class SessionConfig:
     """Shared session parameters; the coordinator hands them out via INIT."""
@@ -87,6 +92,7 @@ class SessionConfig:
             raise InvalidValue("need exactly one of init_seed or init_parameters")
         if not (math.isfinite(self.timeout) and self.timeout > 0.0):
             raise InvalidValue(f"timeout must be finite and positive, got {self.timeout}")
+        _check_port(self.port)
 
     def init_message(self) -> Init:
         return Init(
@@ -560,6 +566,7 @@ def worker_run(
     if not (math.isfinite(timeout) and timeout > 0.0):
         raise InvalidValue(f"timeout must be finite and positive, got {timeout}")
     host, port = address
+    _check_port(port)
     replica = WorkerReplica(spec)
     stream = MessageStream(_connect(host, port, timeout))
     try:

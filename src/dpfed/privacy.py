@@ -19,6 +19,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -122,8 +123,8 @@ def laplace_sample(scale: float, rng: RandomSource) -> float:
     """
     if not (math.isfinite(scale) and scale > 0.0):
         raise InvalidScale(f"Laplace scale must be finite and positive, got {scale}")
-    u = rng.open_uniform()
-    return -scale * math.copysign(1.0, u - 0.5) * math.log1p(-2.0 * abs(u - 0.5))
+    c = rng.open_uniform() - 0.5
+    return -scale * math.copysign(1.0, c) * math.log1p(-2.0 * abs(c))
 
 
 def gaussian_sigma(sensitivity: Sensitivity, params: PrivacyParams) -> float:
@@ -152,13 +153,16 @@ def dp_mean(values: Sequence[float], bounds: ClampBounds, epsilon: float, rng: R
         raise InvalidValue(f"epsilon must be finite and positive, got {epsilon}")
     lo, hi = bounds.lower, bounds.upper
     total = 0.0
-    for x in values:
-        x = float(x)
-        if math.isnan(x):
+    for x in map(float, values):
+        if lo <= x <= hi:
+            total += x
+        elif x < lo:
+            total += lo
+        elif x > hi:
+            total += hi
+        else:
             raise InvalidValue("dp_mean input contains NaN")
-        total += lo if x < lo else hi if x > hi else x
-    scale = bounds.width / (n * epsilon)
-    return total / n + laplace_sample(scale, rng)
+    return total / n + laplace_sample((hi - lo) / (n * epsilon), rng)
 
 
 @dataclass(frozen=True)
@@ -260,7 +264,8 @@ def distinguishability_probe(
     keeps the relative sampling error of the ratio under roughly ten
     percent); in sparser bins the ratio estimate is dominated by noise,
     so they are screened instead by ``violated_mass``, the total p-mass
-    of bins violating the per-bin inequality.
+    of bins violating the per-bin inequality. A NaN or infinite sample
+    has no bin and is refused with InvalidValue.
     """
     if n_samples < 100_000:
         raise InvalidValue("probe needs at least 1e5 samples per dataset")
@@ -270,8 +275,11 @@ def distinguishability_probe(
         min_bin_count = n_samples // 100
     _check_adjacent(d, d_adjacent)
 
-    samples_d = np.fromiter((mechanism(d, rng) for _ in range(n_samples)), dtype=np.float64, count=n_samples)
-    samples_a = np.fromiter((mechanism(d_adjacent, rng) for _ in range(n_samples)), dtype=np.float64, count=n_samples)
+    n = n_samples
+    samples_d = np.fromiter(map(mechanism, repeat(d, n), repeat(rng, n)), np.float64, n)
+    samples_a = np.fromiter(map(mechanism, repeat(d_adjacent, n), repeat(rng, n)), np.float64, n)
+    if not (np.isfinite(samples_d).all() and np.isfinite(samples_a).all()):
+        raise InvalidValue("mechanism returned a non-finite sample")
 
     lo = min(samples_d.min(), samples_a.min())
     hi = max(samples_d.max(), samples_a.max())

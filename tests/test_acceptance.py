@@ -191,7 +191,7 @@ def test_gate_04_empirical_ratio_respects_epsilon(report):
     bounds = ClampBounds(0.0, 100.0)
     d = [float(x) for x in range(0, 100, 10)]
     d_adj = list(d)
-    d_adj[-1] = 100.0  # one record edited
+    d_adj[0] = 100.0  # worst case: one record moves across the whole clamp range
     rng = RandomSource(2718281828)
     margins = []
     ok = True

@@ -4,6 +4,7 @@ import pytest
 from dpfed.data import Dataset, FeatureSequence, synth_generate, SynthSpec
 from dpfed.errors import EmptyDataset, FormatError, ShapeError
 from dpfed.evaluation import (
+    EVAL_CHUNK,
     ExperimentReport,
     GapProbe,
     accuracy,
@@ -120,21 +121,23 @@ def test_accuracy_mixed_lengths_matches_per_sequence_predictions():
     dims = NetworkDims(3, 6, 4)
     net = init_network(dims, RandomSource(8))
     rng = RandomSource(9)
-    seqs = []
-    for i, t_len in enumerate((7, 3, 7, 1, 3, 7, 12)):
-        frames = rng.derive("x", i).normals((t_len, 3))
-        labels = (rng.derive("y", i).uniforms(t_len) * 4).astype(np.int64)
-        seqs.append(FeatureSequence(i % 3, frames, labels))
-    report = accuracy(net, Dataset(3, 4, tuple(seqs)))
-    hits = {spk: 0 for spk in range(3)}
-    frames_seen = {spk: 0 for spk in range(3)}
-    for seq in seqs:
-        hits[seq.speaker_id] += int((predict_labels(net, seq.frames) == seq.labels).sum())
-        frames_seen[seq.speaker_id] += seq.n_frames
-    assert [(s.speaker_id, s.n_frames, s.n_correct) for s in report.speakers] == [
-        (spk, frames_seen[spk], hits[spk]) for spk in range(3)
-    ]
-    assert (report.n_frames, report.n_correct) == (sum(frames_seen.values()), sum(hits.values()))
+    # the second input holds one length group that spans three chunks
+    for lengths in ((7, 3, 7, 1, 3, 7, 12), (4,) * (2 * EVAL_CHUNK + 3) + (2,)):
+        seqs = []
+        for i, t_len in enumerate(lengths):
+            frames = rng.derive("x", i).normals((t_len, 3))
+            labels = (rng.derive("y", i).uniforms(t_len) * 4).astype(np.int64)
+            seqs.append(FeatureSequence(i % 3, frames, labels))
+        report = accuracy(net, Dataset(3, 4, tuple(seqs)))
+        hits = {spk: 0 for spk in range(3)}
+        frames_seen = {spk: 0 for spk in range(3)}
+        for seq in seqs:
+            hits[seq.speaker_id] += int((predict_labels(net, seq.frames) == seq.labels).sum())
+            frames_seen[seq.speaker_id] += seq.n_frames
+        assert [(s.speaker_id, s.n_frames, s.n_correct) for s in report.speakers] == [
+            (spk, frames_seen[spk], hits[spk]) for spk in range(3)
+        ]
+        assert (report.n_frames, report.n_correct) == (sum(frames_seen.values()), sum(hits.values()))
 
 
 def test_predict_labels_tie_breaks_low():

@@ -130,6 +130,9 @@ def test_session_config_validation():
     for timeout in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(InvalidValue):
             session_cfg(1, 1, timeout=timeout)
+    for port in (-1, 65536, 70000):
+        with pytest.raises(InvalidValue):
+            session_cfg(1, 1, port=port)
 
 
 @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf")])
@@ -137,6 +140,13 @@ def test_worker_run_rejects_bad_timeout(timeout):
     # refused before any socket is opened, so the address is never tried
     with pytest.raises(InvalidValue):
         worker_run(("127.0.0.1", 1), make_spec(0), timeout=timeout)
+
+
+@pytest.mark.parametrize("port", [-1, 65536, 70000])
+def test_worker_run_rejects_bad_port(port):
+    # 70000 used to wrap to 4464 and connect there
+    with pytest.raises(InvalidValue):
+        worker_run(("127.0.0.1", port), make_spec(0), timeout=0.5)
 
 
 def test_zero_steps_returns_init_model():

@@ -242,3 +242,25 @@ def test_probe_bounds_ratio_for_dp_mean():
     rep = distinguishability_probe(mech, d, d_adj, PrivacyParams(eps), 150_000, 20, RandomSource(9))
     assert rep.max_ratio <= math.exp(eps) * 1.15
     assert rep.violated_mass < 1e-3
+
+
+def test_probe_flags_laplace_scale_five_times_too_small():
+    # negative control for gate 04's oracle: on the worst-case pair (one
+    # record moves across the whole clamp range) a release whose Laplace
+    # scale is 5x too small must exceed the bound at every epsilon
+    b = ClampBounds(0.0, 100.0)
+    d = [float(x) for x in range(0, 100, 10)]
+    d_adj = [100.0] + d[1:]
+    for eps in (0.5, 1.0, 2.0):
+        mech = lambda data, r, e=eps: dp_mean(data, b, 5.0 * e, r)  # scale / 5
+        rep = distinguishability_probe(mech, d, d_adj, PrivacyParams(eps), 100_000, 20, RandomSource(4))
+        assert rep.max_ratio > math.exp(eps) * 1.15, (eps, rep.max_ratio)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_probe_refuses_non_finite_samples(bad):
+    # one bad sample among the 2e5, drawn on the adjacent dataset
+    calls = iter(range(200_000))
+    mech = lambda data, r: bad if next(calls) == 123_456 else r.uniform()
+    with pytest.raises(InvalidValue, match="non-finite"):
+        distinguishability_probe(mech, [1.0, 2.0], [1.0], PrivacyParams(1.0), 100_000, 10, RandomSource(6))

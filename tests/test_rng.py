@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from dpfed.errors import InvalidValue
 from dpfed.rng import RandomSource
@@ -80,3 +81,62 @@ def test_derive_needs_keys():
 
 def test_algorithm_recorded():
     assert RandomSource(0).algorithm == "PCG64"
+
+
+class OneCallPerDraw:
+    """Reference stream: one plain ``Generator.random()`` call per scalar draw."""
+
+    def __init__(self, seed):
+        self.gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed)))
+
+    def uniform(self):
+        return float(self.gen.random())
+
+    def open_uniform(self):
+        u = self.gen.random()
+        while u == 0.0:
+            u = self.gen.random()
+        return float(u)
+
+    def uniforms(self, n):
+        return self.gen.random(n)
+
+    def open_uniforms(self, n):
+        u = self.gen.random(n)
+        while (u == 0.0).any():
+            u[u == 0.0] = self.gen.random(int((u == 0.0).sum()))
+        return u
+
+    def normals(self, n):
+        return ndtri(self.open_uniforms(n))
+
+    def permutation(self, n):
+        return self.gen.permutation(n)
+
+
+SCALAR_DRAWS = ("uniform", "open_uniform")
+ARRAY_DRAWS = ("uniforms", "open_uniforms", "normals", "permutation")
+
+
+def _draw(source, method, n):
+    if method in SCALAR_DRAWS:
+        return [getattr(source, method)() for _ in range(n)]
+    return getattr(source, method)(n).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_stream_equals_one_call_per_scalar_draw(seed):
+    # any interleaving of block-served scalar draws with the array draws
+    # must give the bytes of one generator call per scalar draw; bursts
+    # around the block size end a block exactly, just before or just after
+    plan = np.random.default_rng(seed)
+    rng, ref = RandomSource(seed), OneCallPerDraw(seed)
+    bursts = (1023, 1024, 1025, 3000)
+    for step in range(300):
+        if step % 10 == 0:
+            method, n = SCALAR_DRAWS[step // 10 % 2], bursts[step // 20 % 4]
+        elif plan.random() < 0.5:
+            method, n = SCALAR_DRAWS[plan.integers(2)], int(plan.integers(0, 40))
+        else:
+            method, n = ARRAY_DRAWS[plan.integers(4)], int(plan.integers(0, 20))
+        assert _draw(rng, method, n) == _draw(ref, method, n), (step, method, n)
