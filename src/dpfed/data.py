@@ -10,7 +10,7 @@ n_frames, the frames row-major as f32, and the labels as u32.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 

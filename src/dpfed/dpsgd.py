@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, EmptyDataset, InvalidGradient, InvalidValue, ShapeError
+from .errors import EmptyDataset, InvalidGradient, InvalidValue, ShapeError
 from .network import Network, apply_update, per_example_gradients
 from .privacy import (
     ZERO_SPEND,
@@ -88,6 +88,15 @@ class GradientRelease:
         )
 
 
+def fixed_order_mean(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """Mean of equal-length vectors, summed in the order given; the fixed
+    order is what keeps the result bit-reproducible."""
+    acc = np.zeros(len(vectors[0]))
+    for v in vectors:
+        acc += v
+    return acc / len(vectors)
+
+
 def l2_clip(grad: np.ndarray, clip_bound: float) -> np.ndarray:
     """Scale grad down to L2 norm clip_bound if it exceeds it, else return it as is."""
     if not (math.isfinite(clip_bound) and clip_bound > 0.0):
@@ -138,10 +147,7 @@ def dp_gradient_release(
             clip_hook(c)
         clipped.append(c)
     batch = len(clipped)
-    acc = np.zeros(n)
-    for c in clipped:  # fixed index order keeps the sum bit-deterministic
-        acc += c
-    acc /= batch
+    acc = fixed_order_mean(clipped)
 
     if cfg.noisy:
         new_ledger = compose(ledger, f"release step {step_id}", cfg.step_params)
@@ -212,25 +218,14 @@ def warm_start(
 ) -> Network:
     """Non-private mini-batch gradient descent, used to pre-train on public data.
 
-    Each epoch shuffles once and walks the data in batches; the update is
+    ``BatchSampler`` walks each epoch in shuffled batches; the update is
     the unclipped, unnoised mean of per-example gradients. epochs = 0
     returns the network unchanged.
     """
-    if len(sequences) == 0:
-        raise EmptyDataset("warm start needs at least one sequence")
     if epochs < 0:
         raise InvalidValue("epochs must be >= 0")
-    if batch_size < 1:
-        raise InvalidValue("batch size must be positive")
-    seqs = list(sequences)
-    for _ in range(epochs):
-        order = rng.permutation(len(seqs))
-        for start in range(0, len(seqs), batch_size):
-            batch = [seqs[i] for i in order[start : start + batch_size]]
-            grads = per_example_gradients(net, batch)
-            acc = np.zeros_like(grads[0])
-            for g in grads:
-                acc += g
-            acc /= len(grads)
-            net = apply_update(net, acc, learning_rate)
+    sampler = BatchSampler(sequences, batch_size, rng)
+    for _ in range(epochs * math.ceil(len(sequences) / batch_size)):
+        grads = per_example_gradients(net, sampler.next_batch())
+        net = apply_update(net, fixed_order_mean(grads), learning_rate)
     return net

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .data import Dataset, OutlierSpec, SynthSpec, filter_speakers, merge, split, synth_generate
 from .dpsgd import DpSgdConfig, warm_start
-from .evaluation import GapProbe, accuracy, membership_gap
+from .evaluation import GapProbe, accuracy
 from .federation import SessionConfig, WorkerSpec, inproc_session
 from .network import Network, NetworkDims, init_network
 from .privacy import PrivacyParams

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import socket
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import Dataset
-from .dpsgd import BatchSampler, DpSgdConfig, GradientRelease, train_step
+from .dpsgd import BatchSampler, DpSgdConfig, GradientRelease, fixed_order_mean, train_step
 from .errors import (
     BudgetExceeded,
     DecodeError,
@@ -38,7 +39,7 @@ from .errors import (
     TransportError,
 )
 from .network import Network, NetworkDims, apply_update, init_network
-from .privacy import AccountLedger, PrivacyParams
+from .privacy import AccountLedger, PrivacyParams, compose
 from .rng import RandomSource
 from .wire import (
     ABORT_BUDGET,
@@ -190,14 +191,12 @@ def average_releases(releases: Sequence[GradientRelease]) -> np.ndarray:
     if not releases:
         raise InvalidValue("cannot average zero releases")
     first = releases[0]
-    acc = np.zeros(len(first.vector))
     for r in releases:
         if r.step_id != first.step_id:
             raise ProtocolError(f"mixed step ids {first.step_id} and {r.step_id} in one round")
         if len(r.vector) != len(first.vector):
             raise ProtocolError("release vectors differ in length")
-        acc += r.vector
-    return acc / len(releases)
+    return fixed_order_mean([r.vector for r in releases])
 
 
 @dataclass(frozen=True)
@@ -245,51 +244,28 @@ class SessionResult:
     summary: SessionSummary
 
 
-class _Spend:
-    """One worker's declared spend: the entries, whose exact sums go into
-    the summary, and plain running sums. Below 1e300 for epsilon and 0.5
-    for delta the running sums show in O(1) that the exact sums are a
-    valid (epsilon, delta); past either mark ``fits`` asks ``math.fsum``."""
-
-    def __init__(self):
-        self.entries: list[PrivacyParams] = []
-        self.epsilon = self.delta = 0.0
-
-    def total(self, *more: PrivacyParams) -> PrivacyParams:
-        entries = self.entries + list(more)
-        return PrivacyParams(math.fsum(p.epsilon for p in entries), math.fsum(p.delta for p in entries))
-
-    def fits(self, spent: PrivacyParams) -> bool:
-        if self.epsilon + spent.epsilon < 1e300 and self.delta + spent.delta < 0.5:
-            return True
-        try:
-            self.total(spent)
-        except (OverflowError, InvalidValue):
-            return False
-        return True
-
-    def add(self, spent: PrivacyParams) -> None:
-        self.entries.append(spent)
-        self.epsilon += spent.epsilon
-        self.delta += spent.delta
+# the widest budget: every total within it is a valid (epsilon, delta)
+_ANY_VALID_SPEND = PrivacyParams(sys.float_info.max, math.nextafter(1.0, 0.0))
 
 
-def _grad_fault(msg: Message, step: int, dims: NetworkDims, spend: _Spend) -> str | None:
-    """Why ``msg`` is not an acceptable release for ``step``, or None."""
+def _charge_grad(msg: Message, step: int, dims: NetworkDims, ledger: AccountLedger) -> AccountLedger:
+    """``ledger`` charged with the spend ``msg`` declares, if ``msg`` is an
+    acceptable release for ``step``; a ProtocolError says why it is not."""
     if not isinstance(msg, Grad):
-        return f"sent {type(msg).__name__.upper()} at step {step}"
+        raise ProtocolError(f"sent {type(msg).__name__.upper()} at step {step}")
     release = msg.release
     if release.step_id != step:
-        return f"sent GRAD for step {release.step_id} at step {step}"
+        raise ProtocolError(f"sent GRAD for step {release.step_id} at step {step}")
     if len(release.vector) != dims.parameter_count:
-        return f"sent {len(release.vector)} values, expected {dims.parameter_count}"
+        raise ProtocolError(f"sent {len(release.vector)} values, expected {dims.parameter_count}")
     if not np.all(np.isfinite(release.vector)):
-        return f"sent non-finite values at step {step}"
+        raise ProtocolError(f"sent non-finite values at step {step}")
     if release.batch_size < 1:
-        return f"sent batch size {release.batch_size} at step {step}"
-    if not spend.fits(release.spent):
-        return f"declared a total spend past any valid (epsilon, delta) at step {step}"
-    return None
+        raise ProtocolError(f"sent batch size {release.batch_size} at step {step}")
+    try:
+        return compose(ledger, f"release step {step}", release.spent)
+    except BudgetExceeded:
+        raise ProtocolError(f"declared a total spend past any valid (epsilon, delta) at step {step}") from None
 
 
 def _admit(link, links: dict, transcript: list[TranscriptEntry]) -> None:
@@ -323,22 +299,25 @@ def _run_rounds(
 
     A worker's ABORT is relayed to everyone; a message that cannot be read
     or is not a valid GRAD for the round aborts the session with the
-    matching code. A GRAD whose declared spend would take its worker's
-    total past a valid (epsilon, delta) is not valid. Every message read
-    is recorded, rejected ones included.
+    matching code. Every message read is recorded, rejected ones included.
+    Each GRAD's declared spend is staged with ``compose`` on the
+    coordinator's ledger of its worker, which refuses a total past any
+    valid (epsilon, delta); the round's charges are committed only once
+    its AVG is out, so the summary counts completed rounds only.
     """
     wids = sorted(links)
-    spend = {wid: _Spend() for wid in wids}
+    ledgers = {wid: AccountLedger(_ANY_VALID_SPEND) for wid in wids}
     steps_completed = 0
 
     def finish(aborted: int | None, reason: str = "") -> SessionSummary:
         msg = Done(steps_completed) if aborted is None else Abort(aborted, reason)
         _broadcast(links, msg, transcript)
-        return SessionSummary(steps_completed, aborted, {wid: s.total() for wid, s in spend.items()})
+        return SessionSummary(steps_completed, aborted, {wid: l.spent for wid, l in ledgers.items()})
 
     _broadcast(links, cfg.init_message(), transcript)
     for step in range(cfg.total_steps):
         releases: list[GradientRelease] = []
+        staged: dict[int, AccountLedger] = {}
         for wid in wids:
             try:
                 msg, size = links[wid].recv()
@@ -349,13 +328,13 @@ def _run_rounds(
             transcript.append(_entry("recv", wid, msg, size))
             if isinstance(msg, Abort):
                 return finish(msg.code, f"relayed from worker {wid}")
-            fault = _grad_fault(msg, step, cfg.dims, spend[wid])
-            if fault is not None:
-                return finish(ABORT_PROTOCOL, f"worker {wid} {fault}")
+            try:
+                staged[wid] = _charge_grad(msg, step, cfg.dims, ledgers[wid])
+            except ProtocolError as exc:
+                return finish(ABORT_PROTOCOL, f"worker {wid} {exc}")
             releases.append(msg.release)
         _broadcast(links, Avg(step, average_releases(releases)), transcript)
-        for wid, release in zip(wids, releases):
-            spend[wid].add(release.spent)
+        ledgers.update(staged)
         steps_completed += 1
         if on_round is not None:
             on_round(step)

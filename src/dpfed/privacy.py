@@ -8,16 +8,16 @@ adjacency relation: for adjacent datasets D, D' and any outcome set S,
     Pr[M(D) in S] <= exp(epsilon) * Pr[M(D') in S] + delta.
 
 Accounting is linear: running steps (e1, d1) and (e2, d2) costs
-(e1 + e2, d1 + d2). Ledger totals are recomputed with ``math.fsum`` over
-the entry list, so the reported spend is the correctly rounded sum and
-does not depend on how steps were grouped.
+(e1 + e2, d1 + d2). Ledgers keep exact running totals, so the reported
+spend is the correctly rounded sum and does not depend on how steps were
+grouped.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from enum import Enum
 from itertools import repeat
 from typing import Callable, Sequence
@@ -165,23 +165,52 @@ def dp_mean(values: Sequence[float], bounds: ClampBounds, epsilon: float, rng: R
     return total / n + laplace_sample((hi - lo) / (n * epsilon), rng)
 
 
+def _add_exact(partials: tuple[float, ...], x: float) -> tuple[float, ...]:
+    """Shewchuk's step: non-overlapping partials (the expansion ``math.fsum``
+    builds) whose sum is exactly sum(partials) + x; (inf,) on overflow."""
+    out = []
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        if math.isinf(hi):
+            return (math.inf,)
+        lo = y - (hi - x)
+        if lo:
+            out.append(lo)
+        x = hi
+    return (*out, x)
+
+
+def _charge(totals: tuple, step: PrivacyParams) -> tuple:
+    """The (epsilon, delta) partials ``totals`` with ``step`` added."""
+    return _add_exact(totals[0], step.epsilon), _add_exact(totals[1], step.delta)
+
+
 @dataclass(frozen=True)
 class AccountLedger:
     """Immutable privacy ledger: a budget plus the steps charged so far.
 
-    ``spent`` is recomputed from the entries with ``math.fsum`` each time,
-    never carried as a running float, so totals like 1000 x 1e-6 come out
-    exact and are independent of grouping.
+    It also keeps the exact epsilon and delta sums of the entries as
+    partials, usually one or two floats each, so a charge is O(1)
+    arithmetic and ``spent`` equals ``math.fsum`` over the entries bit for
+    bit. ``totals`` passes in those partials; without it they are derived.
     """
 
     budget: PrivacyParams
     entries: tuple[tuple[str, PrivacyParams], ...] = ()
+    totals: InitVar[tuple | None] = None
+
+    def __post_init__(self, totals):
+        if totals is None:
+            totals = ((), ())
+            for _, p in self.entries:
+                totals = _charge(totals, p)
+        object.__setattr__(self, "_totals", totals)
 
     @property
     def spent(self) -> PrivacyParams:
-        eps = math.fsum(p.epsilon for _, p in self.entries)
-        delta = math.fsum(p.delta for _, p in self.entries)
-        return PrivacyParams(eps, delta)
+        return PrivacyParams(*map(math.fsum, self._totals))
 
     @property
     def remaining(self) -> PrivacyParams:
@@ -193,13 +222,9 @@ class AccountLedger:
 
     def report(self) -> str:
         """Human-readable table of entries and totals."""
-        lines = [f"{'label':<28}{'epsilon':>14}{'delta':>14}"]
-        for label, p in self.entries:
-            lines.append(f"{label:<28}{p.epsilon:>14.6g}{p.delta:>14.6g}")
-        s = self.spent
-        lines.append(f"{'spent':<28}{s.epsilon:>14.6g}{s.delta:>14.6g}")
-        lines.append(f"{'budget':<28}{self.budget.epsilon:>14.6g}{self.budget.delta:>14.6g}")
-        return "\n".join(lines)
+        rows = [*self.entries, ("spent", self.spent), ("budget", self.budget)]
+        lines = [f"{label:<28}{p.epsilon:>14.6g}{p.delta:>14.6g}" for label, p in rows]
+        return "\n".join([f"{'label':<28}{'epsilon':>14}{'delta':>14}", *lines])
 
 
 def compose(ledger: AccountLedger, label: str, step: PrivacyParams) -> AccountLedger:
@@ -207,17 +232,17 @@ def compose(ledger: AccountLedger, label: str, step: PrivacyParams) -> AccountLe
 
     Returns a new ledger; the input is never mutated. If the new total
     would exceed the budget in either coordinate the step is refused with
-    BudgetExceeded. Spending exactly up to the budget is allowed.
+    BudgetExceeded; a total that overflows exceeds every budget. Spending
+    exactly up to the budget is allowed.
     """
-    entries = ledger.entries + ((label, step),)
-    eps = math.fsum(p.epsilon for _, p in entries)
-    delta = math.fsum(p.delta for _, p in entries)
+    totals = _charge(ledger._totals, step)
+    eps, delta = map(math.fsum, totals)
     if eps > ledger.budget.epsilon or delta > ledger.budget.delta:
         raise BudgetExceeded(
             f"step {label!r} ({step.epsilon}, {step.delta}) would raise spend to "
             f"({eps}, {delta}) over budget ({ledger.budget.epsilon}, {ledger.budget.delta})"
         )
-    return AccountLedger(ledger.budget, entries)
+    return AccountLedger(ledger.budget, ledger.entries + ((label, step),), totals)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dpfed.dpsgd import (
     train_step,
     warm_start,
 )
-from dpfed.network import NetworkDims, forward, init_network, loss, per_example_gradients
+from dpfed.network import NetworkDims, apply_update, forward, init_network, loss, per_example_gradients
 from dpfed.privacy import AccountLedger, Adjacency, PrivacyParams
 from dpfed.rng import RandomSource
 
@@ -201,3 +201,35 @@ def test_warm_start_deterministic():
         return warm_start(net, seqs, 3, 0.2, 2, rng.derive("order")).flatten()
 
     assert np.array_equal(run(), run())
+
+
+@pytest.mark.parametrize("n, batch_size, epochs", [(72, 4, 3), (7, 3, 5), (10, 4, 2), (1, 4, 3)])
+def test_warm_start_equals_per_epoch_shuffle_loop(n, batch_size, epochs):
+    # reference: one permutation per epoch, walked in batches, each update
+    # the mean of the batch's per-example gradients summed in batch order
+    rng = RandomSource(77)
+    net = init_network(NetworkDims(2, 3, 4), rng.derive("net"))
+    seqs = [(rng.derive("x", i).normals((3, 2)), np.arange(3) % 4) for i in range(n)]
+    order_rng = rng.derive("order")
+    expected = net
+    for _ in range(epochs):
+        order = order_rng.permutation(n)
+        for start in range(0, n, batch_size):
+            grads = per_example_gradients(expected, [seqs[i] for i in order[start : start + batch_size]])
+            acc = np.zeros(len(grads[0]))
+            for g in grads:
+                acc += g
+            expected = apply_update(expected, acc / len(grads), 0.2)
+    got = warm_start(net, seqs, epochs, 0.2, batch_size, rng.derive("order"))
+    assert np.array_equal(got.flatten(), expected.flatten())
+
+
+def test_warm_start_validation():
+    net = init_network(NetworkDims(2, 3, 4), RandomSource(1))
+    seq = (np.zeros((2, 2)), np.array([0, 1]))
+    with pytest.raises(EmptyDataset):
+        warm_start(net, [], 1, 0.1, 2, RandomSource(2))
+    with pytest.raises(InvalidValue):
+        warm_start(net, [seq], -1, 0.1, 2, RandomSource(2))
+    with pytest.raises(InvalidValue):
+        warm_start(net, [seq], 1, 0.1, 0, RandomSource(2))

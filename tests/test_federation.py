@@ -234,6 +234,24 @@ def test_inproc_budget_abort_after_exact_steps():
     assert kinds[-1] == "ABORT"
 
 
+def test_inproc_epsilon_total_overflow_aborts_on_budget():
+    # a budget near the largest double: the second step's total overflows
+    spec = make_spec(0, noisy=True)
+    spec.dp_config = DpSgdConfig(
+        clip_bound=1.0,
+        step_params=PrivacyParams(1e308, 1e-6),
+        learning_rate=0.05,
+        batch_size=2,
+        noise_override=0.01,
+    )
+    spec.budget = PrivacyParams(1.7e308, 1e-2)
+    result = inproc_session(session_cfg(1, 3), [spec])
+    assert result.summary.aborted == ABORT_BUDGET
+    assert result.summary.steps_completed == 1
+    assert result.summary.per_worker_spent[0] == PrivacyParams(1e308, 1e-6)
+    assert len(result.ledgers[0].entries) == 1
+
+
 def test_write_transcript(tmp_path):
     result = inproc_session(session_cfg(1, 1), [make_spec(0)])
     path = tmp_path / "transcript.tsv"

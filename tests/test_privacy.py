@@ -204,6 +204,51 @@ def test_ledger_remaining_and_report():
     assert "spent" in text and "budget" in text
 
 
+def _random_steps(seed, n):
+    # magnitudes from subnormal to 1e12, with repeats, so rounding matters
+    rng = np.random.default_rng(seed)
+    eps = rng.choice([0.0, 5e-324, 1e-300, 1e-12, 0.1, 1.0, 3e5, 1e12], n) * rng.random(n)
+    delta = rng.choice([0.0, 5e-324, 1e-9, 1e-6], n) * rng.random(n)
+    return [PrivacyParams(float(e), float(d)) for e, d in zip(eps, delta)]
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [_random_steps(seed, 300) for seed in range(8)] + [[PrivacyParams(0.5, 1e-6)] * 1000],
+    ids=[f"random-{seed}" for seed in range(8)] + ["1000x(0.5,1e-6)"],
+)
+def test_ledger_spent_equals_fsum_over_entries(steps):
+    ledger = AccountLedger(PrivacyParams(1e300, 0.5))
+    for i, s in enumerate(steps):
+        ledger = compose(ledger, str(i), s)
+        if i % 37 == 0 or i == len(steps) - 1:
+            assert ledger.spent.epsilon == math.fsum(p.epsilon for _, p in ledger.entries)
+            assert ledger.spent.delta == math.fsum(p.delta for _, p in ledger.entries)
+    # a ledger built from the same entries reports the same totals
+    assert AccountLedger(ledger.budget, ledger.entries).spent == ledger.spent
+
+
+def test_refused_charge_leaves_ledger_unchanged():
+    ledger = AccountLedger(PrivacyParams(1.0, 1e-5))
+    for i in range(7):
+        ledger = compose(ledger, str(i), PrivacyParams(0.1, 1e-6))
+    entries, spent = ledger.entries, ledger.spent
+    for step in (PrivacyParams(0.5, 0.0), PrivacyParams(0.0, 5e-6)):
+        with pytest.raises(BudgetExceeded):
+            compose(ledger, "over", step)
+        assert ledger.entries == entries and ledger.spent == spent
+    # later charges still add to the untouched totals exactly
+    ledger = compose(ledger, "fits", PrivacyParams(0.3, 3e-6))
+    assert ledger.spent == PrivacyParams(math.fsum([0.1] * 7 + [0.3]), math.fsum([1e-6] * 7 + [3e-6]))
+
+
+def test_ledger_epsilon_overflow_is_over_budget():
+    ledger = compose(AccountLedger(PrivacyParams(1.7e308, 0.5)), "a", PrivacyParams(1e308))
+    with pytest.raises(BudgetExceeded):
+        compose(ledger, "b", PrivacyParams(1e308))
+    assert ledger.spent == PrivacyParams(1e308)
+
+
 def test_probe_rejects_non_adjacent():
     rng = RandomSource(1)
     b = ClampBounds(0.0, 10.0)
