@@ -376,11 +376,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if (args.baseline is None) != (args.probe_speaker is None):
+        raise UsageError("--baseline and --probe-speaker go together")
     net = Network.load(args.model)
     dataset = read_dataset(args.data)
     print(accuracy(net, dataset).render_text())
-    if (args.baseline is None) != (args.probe_speaker is None):
-        raise UsageError("--baseline and --probe-speaker go together")
     if args.baseline is not None:
         baseline = Network.load(args.baseline)
         probe_set = filter_speakers(dataset, [args.probe_speaker])

@@ -56,7 +56,6 @@ class Dataset:
     feature_dim: int
     num_classes: int
     sequences: tuple[FeatureSequence, ...]
-    provenance: str = ""
 
     def __post_init__(self):
         if self.feature_dim < 1 or self.num_classes < 1:
@@ -130,7 +129,7 @@ class SynthSpec:
             raise InvalidValue("outlier speaker index out of range")
 
 
-def synth_generate(spec: SynthSpec, rng: RandomSource, provenance: str = "synthetic") -> Dataset:
+def synth_generate(spec: SynthSpec, rng: RandomSource) -> Dataset:
     """Deterministic synthetic corpus for a given spec and seed.
 
     Draw order is fixed: class centers, then per speaker the offset, then
@@ -151,12 +150,7 @@ def synth_generate(spec: SynthSpec, rng: RandomSource, provenance: str = "synthe
             frames = centers[labels] + offset + noise
             sequences.append(FeatureSequence(speaker_id=s, frames=frames, labels=labels.astype(np.int64)))
             seq_counter += 1
-    return Dataset(
-        feature_dim=spec.feature_dim,
-        num_classes=spec.num_classes,
-        sequences=tuple(sequences),
-        provenance=provenance,
-    )
+    return Dataset(feature_dim=spec.feature_dim, num_classes=spec.num_classes, sequences=tuple(sequences))
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -169,7 +163,7 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
     Path(path).write_bytes(b"".join(parts))
 
 
-def read_dataset(path: str | Path, provenance: str | None = None) -> Dataset:
+def read_dataset(path: str | Path) -> Dataset:
     """Parse a SENO0001 file; frames come back as float64."""
     data = Path(path).read_bytes()
     if len(data) < 20:
@@ -202,9 +196,7 @@ def read_dataset(path: str | Path, provenance: str | None = None) -> Dataset:
         sequences.append(FeatureSequence(speaker_id=speaker, frames=frames, labels=labels))
     if off != len(data):
         raise FormatError(f"{len(data) - off} trailing bytes after last sequence")
-    if provenance is None:
-        provenance = str(path)
-    return Dataset(feature_dim=dim, num_classes=classes, sequences=tuple(sequences), provenance=provenance)
+    return Dataset(feature_dim=dim, num_classes=classes, sequences=tuple(sequences))
 
 
 def split(dataset: Dataset, test_fraction: float, rng: RandomSource) -> tuple[Dataset, Dataset]:
@@ -239,27 +231,22 @@ def split(dataset: Dataset, test_fraction: float, rng: RandomSource) -> tuple[Da
 
     train_seqs = tuple(s for i, s in enumerate(dataset.sequences) if i not in test_idx)
     test_seqs = tuple(s for i, s in enumerate(dataset.sequences) if i in test_idx)
-    make = lambda seqs, tag: Dataset(
-        feature_dim=dataset.feature_dim,
-        num_classes=dataset.num_classes,
-        sequences=seqs,
-        provenance=f"{dataset.provenance}-{tag}" if dataset.provenance else tag,
+    return (
+        Dataset(dataset.feature_dim, dataset.num_classes, train_seqs),
+        Dataset(dataset.feature_dim, dataset.num_classes, test_seqs),
     )
-    return make(train_seqs, "train"), make(test_seqs, "test")
 
 
-def filter_speakers(dataset: Dataset, speaker_ids: Iterable[int], provenance: str | None = None) -> Dataset:
+def filter_speakers(dataset: Dataset, speaker_ids: Iterable[int]) -> Dataset:
     """Subset of the dataset holding only the given speakers, order preserved."""
     wanted = set(speaker_ids)
     seqs = tuple(s for s in dataset.sequences if s.speaker_id in wanted)
     if not seqs:
         raise EmptyDataset(f"no sequences for speakers {sorted(wanted)}")
-    if provenance is None:
-        provenance = f"{dataset.provenance}-speakers{sorted(wanted)}"
-    return Dataset(dataset.feature_dim, dataset.num_classes, seqs, provenance)
+    return Dataset(dataset.feature_dim, dataset.num_classes, seqs)
 
 
-def merge(datasets: Sequence[Dataset], provenance: str = "merged") -> Dataset:
+def merge(datasets: Sequence[Dataset]) -> Dataset:
     """Concatenation of datasets with identical dim and class alphabet."""
     if not datasets:
         raise EmptyDataset("merge needs at least one dataset")
@@ -268,4 +255,4 @@ def merge(datasets: Sequence[Dataset], provenance: str = "merged") -> Dataset:
         if d.feature_dim != first.feature_dim or d.num_classes != first.num_classes:
             raise ShapeError("merged datasets must share dim and num_classes")
     seqs = tuple(s for d in datasets for s in d.sequences)
-    return Dataset(first.feature_dim, first.num_classes, seqs, provenance)
+    return Dataset(first.feature_dim, first.num_classes, seqs)

@@ -19,11 +19,13 @@ from dataclasses import dataclass
 
 from .data import Dataset, OutlierSpec, SynthSpec, filter_speakers, merge, split, synth_generate
 from .dpsgd import DpSgdConfig, warm_start
+from .errors import DpFedError
 from .evaluation import GapProbe, accuracy
 from .federation import SessionConfig, WorkerSpec, inproc_session
 from .network import Network, NetworkDims, init_network
 from .privacy import PrivacyParams
 from .rng import RandomSource
+from .wire import abort_name
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,8 @@ def _session(
         for wid, data in enumerate(worker_data)
     ]
     result = inproc_session(session_cfg, specs)
-    assert result.summary.clean, f"{label} session aborted"
+    if not result.summary.clean:
+        raise DpFedError(f"{label} session aborted: {abort_name(result.summary.aborted)}")
     ledger_steps = tuple(len(result.ledgers[wid].entries) for wid in sorted(result.ledgers))
     return result.networks[0], ledger_steps
 
@@ -173,7 +176,7 @@ def run_membership_experiment(cfg: MembershipConfig) -> MembershipResult:
     test: dict[str, Dataset] = {}
     for name, ds in groups.items():
         train[name], test[name] = split(ds, cfg.test_fraction, root.derive("split", name))
-    indist_test = merge([test["public"], test["private1"], test["private2"]], "in-distribution")
+    indist_test = merge([test["public"], test["private1"], test["private2"]])
     outlier_test = test["outlier"]
 
     net0 = init_network(cfg.dims, root.derive("init"))

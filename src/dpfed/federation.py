@@ -48,7 +48,6 @@ from .wire import (
     ABORT_TIMEOUT,
     GRAD_HEADER_LEN,
     HEADER_LEN,
-    MAGIC,
     PROTOCOL_VERSION,
     Abort,
     Avg,
@@ -60,17 +59,21 @@ from .wire import (
     abort_name,
     decode,
     encode,
+    payload_length,
 )
 
 
-def _check_port(port: int) -> None:
+def _check_endpoint(port: int, timeout: float) -> None:
     if not 0 <= port <= 65535:
         raise InvalidValue(f"port must be in 0-65535, got {port}")
+    if not (math.isfinite(timeout) and timeout > 0.0):
+        raise InvalidValue(f"timeout must be finite and positive, got {timeout}")
 
 
 @dataclass
 class SessionConfig:
-    """Shared session parameters; the coordinator hands them out via INIT."""
+    """Shared session parameters; the coordinator hands them out via INIT,
+    and a config is refused unless its INIT can be built."""
 
     n_workers: int
     total_steps: int
@@ -85,15 +88,8 @@ class SessionConfig:
     def __post_init__(self):
         if self.n_workers < 1:
             raise InvalidValue("session needs at least one worker")
-        if self.total_steps < 0:
-            raise InvalidValue("total_steps must be >= 0")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
-            raise InvalidValue("learning rate must be finite and positive")
-        if (self.init_seed is None) == (self.init_parameters is None):
-            raise InvalidValue("need exactly one of init_seed or init_parameters")
-        if not (math.isfinite(self.timeout) and self.timeout > 0.0):
-            raise InvalidValue(f"timeout must be finite and positive, got {self.timeout}")
-        _check_port(self.port)
+        _check_endpoint(self.port, self.timeout)
+        self.init_message()
 
     def init_message(self) -> Init:
         return Init(
@@ -437,9 +433,7 @@ class MessageStream:
     def recv(self) -> tuple[Message, int]:
         """Read one frame; returns the message and its payload length."""
         header = self._read_exact(HEADER_LEN)
-        if header[:4] != MAGIC:
-            raise DecodeError(f"bad magic {header[:4]!r}")
-        payload_len = int.from_bytes(header[5:9], "little")
+        payload_len = payload_length(header)
         if self._max_payload is not None and payload_len > self._max_payload:
             raise DecodeError(f"declared payload of {payload_len} bytes exceeds {self._max_payload}")
         return decode(header + self._read_exact(payload_len)), payload_len
@@ -538,14 +532,13 @@ def worker_run(
     """Run one worker over TCP against a coordinator at the given address.
 
     Everything the worker does not own (dims, step count, learning rate,
-    initial parameters) arrives in INIT. Returns the final network and
-    ledger even when the session aborts; the ledger then reflects exactly
-    the releases that were emitted.
+    initial parameters) arrives in INIT; an INIT that breaks a session rule
+    raises DecodeError before the first release. Returns the final network
+    and ledger even when the session aborts; the ledger then reflects
+    exactly the releases that were emitted.
     """
-    if not (math.isfinite(timeout) and timeout > 0.0):
-        raise InvalidValue(f"timeout must be finite and positive, got {timeout}")
     host, port = address
-    _check_port(port)
+    _check_endpoint(port, timeout)
     replica = WorkerReplica(spec)
     stream = MessageStream(_connect(host, port, timeout))
     try:

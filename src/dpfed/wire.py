@@ -9,6 +9,7 @@ flat parameter vector, so replicas can be seeded or cloned.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Union
@@ -60,7 +61,8 @@ class Hello:
 @dataclass(eq=False)
 class Init:
     """Session start: model shape, step count, learning rate, and either
-    an init seed or explicit parameters."""
+    an init seed or explicit parameters. Holds every rule a session must
+    meet, so both ends refuse the same sessions."""
 
     dims: NetworkDims
     total_steps: int
@@ -69,6 +71,8 @@ class Init:
     parameters: np.ndarray | None = None
 
     def __post_init__(self):
+        if max(self.dims.input_dim, self.dims.hidden_dim, self.dims.output_dim) >= 2**32:
+            raise InvalidValue("INIT dims must fit in u32")
         if (self.seed is None) == (self.parameters is None):
             raise InvalidValue("INIT needs exactly one of seed or parameters")
         if self.seed is not None and not 0 <= self.seed < 2**64:
@@ -79,8 +83,10 @@ class Init:
                 raise InvalidValue(
                     f"INIT parameter vector must have length {self.dims.parameter_count}"
                 )
-        if self.total_steps < 0:
-            raise InvalidValue("total_steps must be >= 0")
+        if not 0 <= self.total_steps < 2**32:
+            raise InvalidValue("total_steps must be >= 0 and fit in u32")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise InvalidValue("learning rate must be finite and positive")
 
     def __eq__(self, other):
         if not isinstance(other, Init):
@@ -205,17 +211,17 @@ def _decode_init(payload: bytes) -> tuple[Init, int]:
     kind = payload[24]
     try:
         dims = NetworkDims(d, h, o)
+        if kind == 0:
+            _need(payload, 25, 8, "INIT seed")
+            (seed,) = struct.unpack_from("<Q", payload, 25)
+            return Init(dims, steps, lr, seed=seed), 33
+        if kind == 1:
+            n = dims.parameter_count
+            _need(payload, 25, 8 * n, "INIT parameters")
+            params = np.frombuffer(payload, dtype="<f8", offset=25, count=n).astype(np.float64)
+            return Init(dims, steps, lr, parameters=params), 25 + 8 * n
     except InvalidValue as exc:
-        raise DecodeError(f"bad INIT dims: {exc}") from exc
-    if kind == 0:
-        _need(payload, 25, 8, "INIT seed")
-        (seed,) = struct.unpack_from("<Q", payload, 25)
-        return Init(dims, steps, lr, seed=seed), 33
-    if kind == 1:
-        n = dims.parameter_count
-        _need(payload, 25, 8 * n, "INIT parameters")
-        params = np.frombuffer(payload, dtype="<f8", offset=25, count=n).astype(np.float64)
-        return Init(dims, steps, lr, parameters=params), 25 + 8 * n
+        raise DecodeError(f"bad INIT fields: {exc}") from exc
     raise DecodeError(f"unknown INIT payload kind {kind}")
 
 
@@ -274,14 +280,20 @@ _DECODERS = {
 }
 
 
+def payload_length(header: bytes) -> int:
+    """Payload length declared by a frame's first ``HEADER_LEN`` bytes (or
+    more); a short header or a bad magic is DecodeError."""
+    if len(header) < HEADER_LEN:
+        raise DecodeError(f"frame of {len(header)} bytes is shorter than the header")
+    if header[:4] != MAGIC:
+        raise DecodeError(f"bad magic {header[:4]!r}")
+    return struct.unpack_from("<I", header, 5)[0]
+
+
 def decode(frame: bytes) -> Message:
     """One full wire frame back to a message. Any deviation is DecodeError."""
-    if len(frame) < HEADER_LEN:
-        raise DecodeError(f"frame of {len(frame)} bytes is shorter than the header")
-    if frame[:4] != MAGIC:
-        raise DecodeError(f"bad magic {frame[:4]!r}")
+    declared = payload_length(frame)
     tag = frame[4]
-    (declared,) = struct.unpack_from("<I", frame, 5)
     payload = frame[HEADER_LEN:]
     if len(payload) != declared:
         raise DecodeError(f"declared payload of {declared} bytes, got {len(payload)}")

@@ -231,12 +231,14 @@ def test_eval_self_gap_is_zero(corpus, tmp_path, capsys):
     assert "NO-LEAK" in out
 
 
-def test_eval_probe_flags_go_together(corpus, tmp_path):
+def test_eval_probe_flags_go_together(corpus, tmp_path, capsys):
     model = tmp_path / "m.net"
     assert main(["warm-start", "--data", str(corpus), "--epochs", "0", "--hidden", "6",
                  "--out", str(model), "--seed", "4"]) == 0
+    capsys.readouterr()
     assert main(["eval", "--model", str(model), "--data", str(corpus),
                  "--baseline", str(model)]) == 2
+    assert capsys.readouterr().out == ""  # refused before any report
 
 
 def test_eval_shape_mismatch_is_usage_error(corpus, tmp_path):
@@ -264,9 +266,10 @@ def _exit_code(argv):
         ("worker", ["--timeout", "inf"], None),
         ("worker", [], "dp.clip = nan\n"),
         ("worker", ["--lr", "0.1"], None),
+        ("coordinator", ["--seed", "18446744073709551616"], None),
     ],
     ids=["port-out-of-range", "timeout-nan", "timeout-negative", "timeout-inf",
-         "config-clip-nan", "worker-lr-gone"],
+         "config-clip-nan", "worker-lr-gone", "init-seed-past-u64"],
 )
 def test_bad_values_are_usage_errors(command, extra, config, corpus, tmp_path):
     # every other setting is valid, so the one bad value decides the outcome

@@ -151,8 +151,6 @@ def test_split_stratified():
     train_ids = {id(s) for s in train.sequences}
     test_ids = {id(s) for s in test.sequences}
     assert not train_ids & test_ids
-    assert train.provenance.endswith("-train")
-    assert test.provenance.endswith("-test")
 
 
 def test_split_deterministic():

@@ -1,7 +1,11 @@
 import numpy as np
+import pytest
 
+from dpfed import experiments
+from dpfed.errors import DpFedError
 from dpfed.evaluation import accuracy
 from dpfed.experiments import MembershipConfig, run_membership_experiment
+from dpfed.wire import ABORT_BUDGET
 
 
 def tiny_config(seed=1):
@@ -47,3 +51,17 @@ def test_experiment_report_renders():
     text = r.render_text()
     assert "outlier gap" in text
     assert "LEAK" in text  # verdict string present in one form or the other
+
+
+def test_aborted_session_is_an_error(monkeypatch):
+    # an aborted session's model must not be scored, under ``python -O`` too
+    real = experiments.inproc_session
+
+    def aborting(cfg, specs):
+        result = real(cfg, specs)
+        result.summary.aborted = ABORT_BUDGET
+        return result
+
+    monkeypatch.setattr(experiments, "inproc_session", aborting)
+    with pytest.raises(DpFedError, match="open session aborted: budget"):
+        run_membership_experiment(tiny_config())

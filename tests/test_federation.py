@@ -10,7 +10,7 @@ import pytest
 
 from dpfed.data import SynthSpec, synth_generate
 from dpfed.dpsgd import BatchSampler, DpSgdConfig, GradientRelease, per_example_gradients
-from dpfed.errors import DpFedError, InvalidValue, ProtocolError, TimedOut
+from dpfed.errors import DecodeError, DpFedError, InvalidValue, ProtocolError, TimedOut
 from dpfed.federation import (
     Coordinator,
     MessageStream,
@@ -29,6 +29,7 @@ from dpfed.wire import (
     ABORT_DECODE,
     ABORT_PROTOCOL,
     ABORT_TIMEOUT,
+    HEADER_LEN,
     MAGIC,
     TAG_GRAD,
     Abort,
@@ -133,6 +134,20 @@ def test_session_config_validation():
     for port in (-1, 65536, 70000):
         with pytest.raises(InvalidValue):
             session_cfg(1, 1, port=port)
+    # everything INIT refuses is refused before any socket exists
+    for seed in (2**64, -1):
+        with pytest.raises(InvalidValue):
+            session_cfg(1, 1, init_seed=seed)
+    with pytest.raises(InvalidValue):
+        session_cfg(1, 1, init_seed=None, init_parameters=np.zeros(DIMS.parameter_count - 1))
+    for steps in (-1, 2**32):
+        with pytest.raises(InvalidValue):
+            session_cfg(1, steps)
+    with pytest.raises(InvalidValue):
+        session_cfg(1, 1, dims=NetworkDims(2**32, 1, 1))
+    for lr in (0.0, float("nan")):
+        with pytest.raises(InvalidValue):
+            session_cfg(1, 1, learning_rate=lr)
 
 
 @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf")])
@@ -448,3 +463,38 @@ def test_worker_aborts_on_non_finite_average():
     assert np.array_equal(result.network.flatten(), init_network(DIMS, RandomSource(7)).flatten())
     assert isinstance(box["grad"], Grad)
     assert isinstance(box["reply"], Abort) and box["reply"].code == ABORT_PROTOCOL
+
+
+def _init_frame(learning_rate):
+    # an INIT no Init object can hold: the rate is patched into a valid frame
+    frame = bytearray(encode(Init(DIMS, total_steps=3, learning_rate=0.05, seed=7)))
+    struct.pack_into("<d", frame, HEADER_LEN + 16, learning_rate)
+    return bytes(frame)
+
+
+@pytest.mark.parametrize("learning_rate", [float("nan"), -1.0, 0.0])
+def test_worker_refuses_bad_init_before_releasing(learning_rate):
+    # a scripted coordinator sends an INIT whose rate a SessionConfig refuses
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10.0)
+    box = {}
+
+    def fake_coordinator():
+        conn, _ = listener.accept()
+        with conn:
+            conn.settimeout(10.0)
+            box["hello"], _ = MessageStream(conn).recv()
+            conn.sendall(_init_frame(learning_rate))
+            box["after"] = conn.recv(1 << 16)  # empty once the worker hangs up
+
+    thread = threading.Thread(target=fake_coordinator)
+    thread.start()
+    try:
+        with pytest.raises(DecodeError):
+            worker_run(listener.getsockname()[:2], make_spec(0), timeout=10.0)
+    finally:
+        thread.join(timeout=30)
+        listener.close()
+    assert not thread.is_alive()
+    assert isinstance(box["hello"], Hello)
+    assert box["after"] == b""  # no GRAD was sent

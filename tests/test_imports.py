@@ -1,6 +1,9 @@
-"""Every name a ``dpfed`` module imports is used in that module.
+"""Source checks over every ``dpfed`` module.
 
-``__init__.py`` is left out: its imports are the package's re-exports.
+- Every name a module imports is used in that module. ``__init__.py`` is
+  left out of this check: its imports are the package's re-exports.
+- No module holds an ``assert`` statement: ``python -O`` strips them, so
+  a check the program relies on must raise an error instead.
 """
 
 import ast
@@ -10,6 +13,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dpfed"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +38,16 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def asserts(source: str) -> list[str]:
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_checker_flags_an_assert():
+    assert asserts("x = 1\nif x:\n    assert x, 'x'\n") == ["line 3"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.name for p in ALL_MODULES])
+def test_module_has_no_assert(path):
+    assert asserts(path.read_text()) == []

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from dpfed.network import NetworkDims
 from dpfed.privacy import PrivacyParams
 from dpfed.rng import RandomSource
 from dpfed.wire import (
+    HEADER_LEN,
     MAGIC,
     PROTOCOL_VERSION,
     TAG_DONE,
@@ -133,6 +136,17 @@ def test_init_validation():
         Init(dims, 1, 0.1, seed=1, parameters=np.zeros(dims.parameter_count))
     with pytest.raises(InvalidValue):
         Init(dims, 1, 0.1, parameters=np.zeros(3))
+    for seed in (-1, 2**64):
+        with pytest.raises(InvalidValue):
+            Init(dims, 1, 0.1, seed=seed)
+    for steps in (-1, 2**32):
+        with pytest.raises(InvalidValue):
+            Init(dims, steps, 0.1, seed=1)
+    with pytest.raises(InvalidValue):
+        Init(NetworkDims(2**32, 1, 1), 1, 0.1, seed=1)
+    for lr in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidValue):
+            Init(dims, 1, lr, seed=1)
 
 
 def test_init_parameter_payload_length_checked():
@@ -141,6 +155,11 @@ def test_init_parameter_payload_length_checked():
     frame = encode(msg)
     with pytest.raises(DecodeError):
         decode(frame[:-8])  # drop one parameter
+    # a rate no Init can hold, patched into the frame after the u32 dims and steps
+    bad_rate = bytearray(frame)
+    struct.pack_into("<d", bad_rate, HEADER_LEN + 16, float("nan"))
+    with pytest.raises(DecodeError):
+        decode(bytes(bad_rate))
 
 
 def test_grad_preserves_exact_floats():
