@@ -339,11 +339,11 @@ def cmd_simulate(args) -> int:
     specs = []
     for wid, w in enumerate(workers):
         dp = _dp_config(w)
-        # the default budget covers exactly the requested steps, summed the
-        # same way the ledger will sum them
+        # the default budget covers exactly the requested steps: for a step
+        # count below 2**53 one rounded product equals the ledger's exact sum
         budget = PrivacyParams(
-            math.fsum([dp.step_params.epsilon] * args.steps) if w.budget_eps is None else w.budget_eps,
-            math.fsum([dp.step_params.delta] * args.steps) if w.budget_delta is None else w.budget_delta,
+            args.steps * dp.step_params.epsilon if w.budget_eps is None else w.budget_eps,
+            args.steps * dp.step_params.delta if w.budget_delta is None else w.budget_delta,
         )
         seed = root.derive_seed("worker", wid) if w.seed is None else w.seed
         specs.append(WorkerSpec(wid, dp, datasets[wid], budget, seed))

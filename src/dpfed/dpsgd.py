@@ -5,9 +5,16 @@ One release: clip every per-sequence gradient to L2 norm C, average the
 clipped gradients over the batch, then add i.i.d. Gaussian noise per
 coordinate. The noise level comes from the mean's sensitivity (C/B under
 add/remove adjacency, 2C/B under replace) at the configured per-step
-(epsilon, delta), unless ``noise_override`` pins sigma directly. Every
-noisy release charges its step parameters to the account ledger before
-any noise is drawn; a refused charge emits nothing.
+(epsilon, delta), unless ``noise_override`` pins a positive sigma
+directly; a noisy release never has sigma 0. Every noisy release charges
+its step parameters to the account ledger before any noise is drawn; a
+refused charge emits nothing.
+
+The release is a ``wire.Grad``: step, vector and spend, and nothing more.
+Clip bound and noisiness are the worker's own settings, and the batch
+size would tell the coordinator how many sequences the worker holds, so
+none of them leaves the worker. (The calibrated sigma still depends on
+the actual batch size; that side channel is left to a fixed denominator.)
 
 ``warm_start`` is the same loop with no clipping and no noise: plain
 mini-batch gradient descent on the mean per-example gradient.
@@ -33,6 +40,7 @@ from .privacy import (
     gaussian_sigma,
 )
 from .rng import RandomSource
+from .wire import Grad
 
 
 @dataclass(frozen=True)
@@ -55,37 +63,16 @@ class DpSgdConfig:
         if not isinstance(self.batch_size, int) or self.batch_size < 1:
             raise InvalidValue(f"batch size must be a positive integer, got {self.batch_size}")
         if self.noise_override is not None and not (
-            math.isfinite(self.noise_override) and self.noise_override >= 0.0
+            math.isfinite(self.noise_override) and self.noise_override > 0.0
         ):
-            raise InvalidValue(f"noise override must be finite and >= 0, got {self.noise_override}")
+            raise InvalidValue(
+                f"noise override must be finite and positive, got {self.noise_override}"
+                " (noisy = false releases without noise)"
+            )
         if self.noisy and self.noise_override is None and self.step_params.delta <= 0.0:
             raise InvalidValue("calibrated Gaussian noise needs step delta > 0")
         if self.noisy and self.step_params.epsilon <= 0.0:
             raise InvalidValue("noisy releases need step epsilon > 0")
-
-
-@dataclass(eq=False)
-class GradientRelease:
-    """What a worker hands to the coordinator for one step."""
-
-    step_id: int
-    vector: np.ndarray
-    spent: PrivacyParams
-    clip_bound: float
-    batch_size: int
-    noisy: bool
-
-    def __eq__(self, other):
-        if not isinstance(other, GradientRelease):
-            return NotImplemented
-        return (
-            self.step_id == other.step_id
-            and np.array_equal(self.vector, other.vector)
-            and self.spent == other.spent
-            and self.clip_bound == other.clip_bound
-            and self.batch_size == other.batch_size
-            and self.noisy == other.noisy
-        )
 
 
 def fixed_order_mean(vectors: Sequence[np.ndarray]) -> np.ndarray:
@@ -128,7 +115,7 @@ def dp_gradient_release(
     rng: RandomSource,
     step_id: int,
     clip_hook: Callable[[np.ndarray], None] | None = None,
-) -> tuple[GradientRelease, AccountLedger]:
+) -> tuple[Grad, AccountLedger]:
     """Clip, average, account, noise: one private release from raw gradients.
 
     The budget is charged before noise is sampled, so a BudgetExceeded
@@ -146,28 +133,13 @@ def dp_gradient_release(
         if clip_hook is not None:
             clip_hook(c)
         clipped.append(c)
-    batch = len(clipped)
     acc = fixed_order_mean(clipped)
 
-    if cfg.noisy:
-        new_ledger = compose(ledger, f"release step {step_id}", cfg.step_params)
-        sigma = noise_sigma(cfg, batch)
-        if sigma > 0.0:
-            acc = acc + rng.normals(n) * sigma
-        spent = cfg.step_params
-    else:
-        new_ledger = ledger
-        spent = ZERO_SPEND
-
-    release = GradientRelease(
-        step_id=step_id,
-        vector=acc,
-        spent=spent,
-        clip_bound=cfg.clip_bound,
-        batch_size=batch,
-        noisy=cfg.noisy,
-    )
-    return release, new_ledger
+    if not cfg.noisy:
+        return Grad(step_id, acc, ZERO_SPEND), ledger
+    new_ledger = compose(ledger, f"release step {step_id}", cfg.step_params)
+    acc = acc + rng.normals(n) * noise_sigma(cfg, len(clipped))
+    return Grad(step_id, acc, cfg.step_params), new_ledger
 
 
 def train_step(
@@ -178,7 +150,7 @@ def train_step(
     rng: RandomSource,
     step_id: int,
     clip_hook: Callable[[np.ndarray], None] | None = None,
-) -> tuple[GradientRelease, AccountLedger]:
+) -> tuple[Grad, AccountLedger]:
     """Per-example gradients for the batch, then one private release."""
     grads = per_example_gradients(net, batch)
     return dp_gradient_release(grads, cfg, ledger, rng, step_id, clip_hook)

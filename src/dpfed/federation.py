@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import Dataset
-from .dpsgd import BatchSampler, DpSgdConfig, GradientRelease, fixed_order_mean, train_step
+from .dpsgd import BatchSampler, DpSgdConfig, fixed_order_mean, train_step
 from .errors import (
     BudgetExceeded,
     DecodeError,
@@ -86,8 +86,8 @@ class SessionConfig:
     timeout: float = 60.0
 
     def __post_init__(self):
-        if self.n_workers < 1:
-            raise InvalidValue("session needs at least one worker")
+        if not 1 <= self.n_workers <= 2**32:  # each worker needs its own u32 id
+            raise InvalidValue(f"session needs 1 to 2**32 workers, got {self.n_workers}")
         _check_endpoint(self.port, self.timeout)
         self.init_message()
 
@@ -138,7 +138,7 @@ class WorkerReplica:
         self.total_steps = 0
         self.steps_completed = 0
 
-    def make_release(self, step_id: int) -> GradientRelease:
+    def make_release(self, step_id: int) -> Grad:
         """One private release; BudgetExceeded propagates with state intact."""
         batch = self._sampler.next_batch()
         release, self.ledger = train_step(
@@ -171,14 +171,14 @@ class WorkerReplica:
                 return Abort(ABORT_PROTOCOL, f"unexpected {name} after {self.steps_completed} steps")
             if self.steps_completed == self.total_steps:
                 return None
-            return Grad(self.make_release(self.steps_completed))
+            return self.make_release(self.steps_completed)
         except BudgetExceeded as exc:
             return Abort(ABORT_BUDGET, str(exc))
         except DpFedError as exc:
             return Abort(ABORT_PROTOCOL, str(exc))
 
 
-def average_releases(releases: Sequence[GradientRelease]) -> np.ndarray:
+def average_releases(releases: Sequence[Grad]) -> np.ndarray:
     """Unweighted mean of release vectors, summed in the order given.
 
     Callers pass releases in ascending worker id order; the fixed
@@ -249,17 +249,14 @@ def _charge_grad(msg: Message, step: int, dims: NetworkDims, ledger: AccountLedg
     acceptable release for ``step``; a ProtocolError says why it is not."""
     if not isinstance(msg, Grad):
         raise ProtocolError(f"sent {type(msg).__name__.upper()} at step {step}")
-    release = msg.release
-    if release.step_id != step:
-        raise ProtocolError(f"sent GRAD for step {release.step_id} at step {step}")
-    if len(release.vector) != dims.parameter_count:
-        raise ProtocolError(f"sent {len(release.vector)} values, expected {dims.parameter_count}")
-    if not np.all(np.isfinite(release.vector)):
+    if msg.step_id != step:
+        raise ProtocolError(f"sent GRAD for step {msg.step_id} at step {step}")
+    if len(msg.vector) != dims.parameter_count:
+        raise ProtocolError(f"sent {len(msg.vector)} values, expected {dims.parameter_count}")
+    if not np.all(np.isfinite(msg.vector)):
         raise ProtocolError(f"sent non-finite values at step {step}")
-    if release.batch_size < 1:
-        raise ProtocolError(f"sent batch size {release.batch_size} at step {step}")
     try:
-        return compose(ledger, f"release step {step}", release.spent)
+        return compose(ledger, f"release step {step}", msg.spent)
     except BudgetExceeded:
         raise ProtocolError(f"declared a total spend past any valid (epsilon, delta) at step {step}") from None
 
@@ -312,7 +309,7 @@ def _run_rounds(
 
     _broadcast(links, cfg.init_message(), transcript)
     for step in range(cfg.total_steps):
-        releases: list[GradientRelease] = []
+        releases: list[Grad] = []
         staged: dict[int, AccountLedger] = {}
         for wid in wids:
             try:
@@ -328,7 +325,7 @@ def _run_rounds(
                 staged[wid] = _charge_grad(msg, step, cfg.dims, ledgers[wid])
             except ProtocolError as exc:
                 return finish(ABORT_PROTOCOL, f"worker {wid} {exc}")
-            releases.append(msg.release)
+            releases.append(msg)
         _broadcast(links, Avg(step, average_releases(releases)), transcript)
         ledgers.update(staged)
         steps_completed += 1
@@ -457,10 +454,14 @@ class Coordinator:
     def bind(self) -> tuple[str, int]:
         try:
             listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((self.cfg.host, self.cfg.port))
-            listener.listen(self.cfg.n_workers)
-            listener.settimeout(self.cfg.timeout)
+            try:
+                listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+                listener.bind((self.cfg.host, self.cfg.port))
+                listener.listen(min(self.cfg.n_workers, socket.SOMAXCONN))
+                listener.settimeout(self.cfg.timeout)
+            except BaseException:
+                listener.close()
+                raise
         except OSError as exc:
             raise TransportError(f"cannot listen on {self.cfg.host}:{self.cfg.port}: {exc}") from exc
         self._listener = listener

@@ -5,6 +5,13 @@ little-endian payload length, then the payload. Integers are u32 little
 endian, reals are f64 little endian. Tags: HELLO=1, INIT=2, GRAD=3,
 AVG=4, DONE=5, ABORT=6. INIT carries either an init seed or the full
 flat parameter vector, so replicas can be seeded or cloned.
+
+A GRAD (protocol version 2) is the one release record: step, epsilon,
+delta and vector length (``<IddI``, 24 bytes), then the P values, so
+24 + 8P payload bytes. It carries nothing else computed from a worker's
+data: a batch size would reveal how many sequences the worker holds (the
+last batch of an epoch has n mod B of them), and the coordinator needs
+only the vector and the declared spend.
 """
 
 from __future__ import annotations
@@ -16,15 +23,14 @@ from typing import Union
 
 import numpy as np
 
-from .dpsgd import GradientRelease
 from .errors import DecodeError, InvalidValue
 from .network import NetworkDims
 from .privacy import PrivacyParams
 
 MAGIC = b"FDP1"
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 HEADER_LEN = 9  # magic + tag + payload length
-_GRAD_HEAD = "<IBdddII"  # step, noisy, epsilon, delta, clip bound, batch size, length
+_GRAD_HEAD = "<IddI"  # step, epsilon, delta, length
 GRAD_HEADER_LEN = struct.calcsize(_GRAD_HEAD)
 
 TAG_HELLO = 1
@@ -108,16 +114,23 @@ class Init:
 
 @dataclass(eq=False)
 class Grad:
-    release: GradientRelease
+    """One worker's private release for one step, and what it spent."""
+
+    step_id: int
+    vector: np.ndarray
+    spent: PrivacyParams
+
+    def __post_init__(self):
+        self.vector = np.asarray(self.vector, dtype=np.float64)
 
     def __eq__(self, other):
         if not isinstance(other, Grad):
             return NotImplemented
-        return self.release == other.release
-
-    @property
-    def step_id(self) -> int:
-        return self.release.step_id
+        return (
+            self.step_id == other.step_id
+            and np.array_equal(self.vector, other.vector)
+            and self.spent == other.spent
+        )
 
 
 @dataclass(eq=False)
@@ -171,18 +184,10 @@ def encode(msg: Message) -> bytes:
             body = struct.pack("<B", 1) + msg.parameters.astype("<f8").tobytes()
         return _frame(TAG_INIT, head + body)
     if isinstance(msg, Grad):
-        r = msg.release
         head = struct.pack(
-            _GRAD_HEAD,
-            r.step_id,
-            1 if r.noisy else 0,
-            r.spent.epsilon,
-            r.spent.delta,
-            r.clip_bound,
-            r.batch_size,
-            len(r.vector),
+            _GRAD_HEAD, msg.step_id, msg.spent.epsilon, msg.spent.delta, len(msg.vector)
         )
-        return _frame(TAG_GRAD, head + np.asarray(r.vector, dtype="<f8").tobytes())
+        return _frame(TAG_GRAD, head + np.asarray(msg.vector, dtype="<f8").tobytes())
     if isinstance(msg, Avg):
         head = struct.pack("<II", msg.step_id, len(msg.vector))
         return _frame(TAG_AVG, head + msg.vector.astype("<f8").tobytes())
@@ -228,21 +233,14 @@ def _decode_init(payload: bytes) -> tuple[Init, int]:
 def _decode_grad(payload: bytes) -> tuple[Grad, int]:
     head = GRAD_HEADER_LEN
     _need(payload, 0, head, "GRAD header")
-    step, noisy, eps, delta, clip, batch, n = struct.unpack_from(_GRAD_HEAD, payload, 0)
+    step, eps, delta, n = struct.unpack_from(_GRAD_HEAD, payload, 0)
     _need(payload, head, 8 * n, "GRAD vector")
     vec = np.frombuffer(payload, dtype="<f8", offset=head, count=n).astype(np.float64)
     try:
-        release = GradientRelease(
-            step_id=step,
-            vector=vec,
-            spent=PrivacyParams(eps, delta),
-            clip_bound=clip,
-            batch_size=batch,
-            noisy=bool(noisy),
-        )
+        spent = PrivacyParams(eps, delta)
     except InvalidValue as exc:
         raise DecodeError(f"bad GRAD fields: {exc}") from exc
-    return Grad(release), head + 8 * n
+    return Grad(step, vec, spent), head + 8 * n
 
 
 def _decode_avg(payload: bytes) -> tuple[Avg, int]:

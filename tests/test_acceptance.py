@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from dpfed.data import SynthSpec, read_dataset, synth_generate, write_dataset
-from dpfed.dpsgd import BatchSampler, DpSgdConfig, GradientRelease, noise_sigma, per_example_gradients
+from dpfed.dpsgd import BatchSampler, DpSgdConfig, noise_sigma, per_example_gradients
 from dpfed.errors import BudgetExceeded
 from dpfed.experiments import MembershipConfig, run_membership_experiment
 from dpfed.federation import (
@@ -383,14 +383,11 @@ def test_gate_09_codec_and_file_round_trips(report, tmp_path):
                         learning_rate=pick.uniform() + 1e-6,
                         parameters=pick.normals(dims.parameter_count))
         if kind == 3:
-            return Grad(GradientRelease(
+            return Grad(
                 step_id=int(pick.uniform() * 1000),
                 vector=pick.normals(int(pick.uniform() * 30) + 1),
                 spent=PrivacyParams(pick.uniform() * 10, pick.uniform() * 1e-3),
-                clip_bound=pick.uniform() + 0.1,
-                batch_size=int(pick.uniform() * 8) + 1,
-                noisy=pick.uniform() < 0.5,
-            ))
+            )
         if kind == 4:
             return Avg(step_id=int(pick.uniform() * 1000),
                        vector=pick.normals(int(pick.uniform() * 30) + 1))

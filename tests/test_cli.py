@@ -1,3 +1,4 @@
+import math
 import socket
 import subprocess
 import sys
@@ -6,9 +7,11 @@ import threading
 import numpy as np
 import pytest
 
+import dpfed.cli
 from dpfed.cli import main
 from dpfed.federation import Coordinator, SessionConfig
 from dpfed.network import Network, NetworkDims, init_network
+from dpfed.privacy import PrivacyParams
 from dpfed.rng import RandomSource
 
 SPEC = """\
@@ -130,6 +133,36 @@ def test_simulate_zero_steps_writes_init_model(corpus, tmp_path):
     assert (out_dir / "worker_0.net").read_bytes() == warm.read_bytes()
     header = (tmp_path / "report.tsv").read_text().splitlines()[0]
     assert header == "model\ttestset\taccuracy"
+
+
+def _simulate_one(tmp_path, corpus, steps, dp_lines):
+    cfg = tmp_path / "w.cfg"
+    cfg.write_text(f"data.path={corpus}\nseed=11\n{dp_lines}")
+    return main(["simulate", "--workers-config", str(cfg), "--steps", str(steps),
+                 "--seed", "9", "--hidden", "4"])
+
+
+@pytest.mark.parametrize("steps", [1, 3, 10])
+def test_simulate_default_budget_is_the_ledger_sum(corpus, tmp_path, monkeypatch, steps):
+    # with no budget set, each worker may spend exactly its steps, summed
+    # exactly as the ledger sums them; the last step then still fits
+    seen = []
+    real = dpfed.cli.inproc_session
+
+    def recording(cfg, specs):
+        seen.extend(specs)
+        return real(cfg, specs)
+
+    monkeypatch.setattr(dpfed.cli, "inproc_session", recording)
+    code = _simulate_one(tmp_path, corpus, steps,
+                         "dp.epsilon_step=0.1\ndp.delta_step=1e-7\ndp.noise_override=0.05\n")
+    assert code == 0
+    assert seen[0].budget == PrivacyParams(math.fsum([0.1] * steps), math.fsum([1e-7] * steps))
+
+
+def test_simulate_default_budget_overflow_is_usage_error(corpus, tmp_path):
+    # 2 x 1e308 is no finite epsilon: refused as a bad value, not a traceback
+    assert _simulate_one(tmp_path, corpus, 2, "dp.epsilon_step=1e308\n") == 2
 
 
 def _spawn(*argv):
@@ -267,9 +300,12 @@ def _exit_code(argv):
         ("worker", [], "dp.clip = nan\n"),
         ("worker", ["--lr", "0.1"], None),
         ("coordinator", ["--seed", "18446744073709551616"], None),
+        ("coordinator", ["--workers", "1099511627776"], None),
+        ("worker", [], "dp.noise_override = 0\n"),
     ],
     ids=["port-out-of-range", "timeout-nan", "timeout-negative", "timeout-inf",
-         "config-clip-nan", "worker-lr-gone", "init-seed-past-u64"],
+         "config-clip-nan", "worker-lr-gone", "init-seed-past-u64", "workers-past-u32",
+         "zero-noise-override"],
 )
 def test_bad_values_are_usage_errors(command, extra, config, corpus, tmp_path):
     # every other setting is valid, so the one bad value decides the outcome

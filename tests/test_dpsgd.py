@@ -53,6 +53,9 @@ def test_config_validation():
         make_cfg(step_params=PrivacyParams(1.0, 0.0))  # calibrated noise needs delta
     make_cfg(step_params=PrivacyParams(1.0, 0.0), noise_override=0.5)  # override does not
     make_cfg(step_params=PrivacyParams(1.0, 0.0), noisy=False)
+    for override in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(InvalidValue):
+            make_cfg(noise_override=override)  # a noisy release never has sigma 0
 
 
 def test_noise_sigma_override_and_calibration():
@@ -68,18 +71,19 @@ def test_noise_sigma_override_and_calibration():
 
 
 def test_release_deterministic_with_zero_override():
+    # a zero override is refused (it would release the exact clipped mean at
+    # a noisy charge), so the deterministic release is the noiseless one:
     # clip [3,4] to norm 1 -> [0.6, 0.8]; average with zero gradient -> [0.3, 0.4]
-    cfg = make_cfg(noise_override=0.0)
+    with pytest.raises(InvalidValue):
+        make_cfg(noise_override=0.0)
+    cfg = make_cfg(noisy=False)
     ledger = AccountLedger(PrivacyParams(10.0, 1e-3))
     release, new_ledger = dp_gradient_release(
         [np.array([3.0, 4.0]), np.zeros(2)], cfg, ledger, RandomSource(0), step_id=0
     )
     assert np.allclose(release.vector, [0.3, 0.4])
-    assert release.batch_size == 2
-    assert release.noisy
-    assert release.spent == PrivacyParams(1.0, 1e-6)
-    assert len(new_ledger.entries) == 1
-    assert len(ledger.entries) == 0  # input ledger untouched
+    assert release.spent == PrivacyParams(0.0, 0.0)
+    assert new_ledger is ledger and len(ledger.entries) == 0
 
 
 def test_release_charges_ledger_once_per_step():
@@ -133,7 +137,7 @@ def test_release_errors():
 
 
 def test_clip_hook_sees_bounded_norms():
-    cfg = make_cfg(clip_bound=0.7, noise_override=0.0)
+    cfg = make_cfg(clip_bound=0.7, noisy=False)
     ledger = AccountLedger(PrivacyParams(10.0, 1e-3))
     rng = RandomSource(5)
     grads = [RandomSource(i).normals(6) * 3.0 for i in range(8)]
@@ -147,7 +151,7 @@ def test_train_step_matches_manual_pipeline():
     rng = RandomSource(40)
     net = init_network(NetworkDims(3, 4, 5), rng.derive("net"))
     batch = [(rng.derive("x", i).normals((5, 3)), np.arange(5) % 5) for i in range(3)]
-    cfg = make_cfg(noise_override=0.0, batch_size=3)
+    cfg = make_cfg(noisy=False, batch_size=3)
     ledger = AccountLedger(PrivacyParams(10.0, 1e-3))
     release, _ = train_step(net, batch, cfg, ledger, RandomSource(1), 7)
     grads = per_example_gradients(net, batch)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dpfed.data import SynthSpec, synth_generate
-from dpfed.dpsgd import BatchSampler, DpSgdConfig, GradientRelease, per_example_gradients
+from dpfed.dpsgd import BatchSampler, DpSgdConfig, per_example_gradients
 from dpfed.errors import DecodeError, DpFedError, InvalidValue, ProtocolError, TimedOut
 from dpfed.federation import (
     Coordinator,
@@ -110,7 +110,7 @@ def run_tcp(cfg, specs):
 
 
 def test_average_releases_order_and_checks():
-    mk = lambda step, vec: GradientRelease(step, np.array(vec), PrivacyParams(0.0, 0.0), 1.0, 1, False)
+    mk = lambda step, vec: Grad(step, np.array(vec), PrivacyParams(0.0, 0.0))
     avg = average_releases([mk(0, [1.0, 2.0]), mk(0, [3.0, 4.0])])
     assert np.array_equal(avg, np.array([2.0, 3.0]))
     with pytest.raises(ProtocolError):
@@ -148,6 +148,22 @@ def test_session_config_validation():
     for lr in (0.0, float("nan")):
         with pytest.raises(InvalidValue):
             session_cfg(1, 1, learning_rate=lr)
+    # no more workers than distinct u32 ids
+    session_cfg(2**32, 1)
+    for n in (2**32 + 1, 2**40):
+        with pytest.raises(InvalidValue):
+            session_cfg(n, 1)
+
+
+def test_bind_caps_listen_backlog():
+    # listen() takes a C int; a backlog past SOMAXCONN buys nothing, so the
+    # largest session binds like any other (and no worker is started)
+    coord = Coordinator(session_cfg(2**32, 1))
+    try:
+        assert coord.bind()[1] > 0
+    finally:
+        if coord._listener is not None:
+            coord._listener.close()
 
 
 @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf")])
@@ -327,9 +343,8 @@ def test_duplicate_worker_ids_rejected():
         inproc_session(cfg, [make_spec(0), make_spec(0)])
 
 
-def _grad_frame(step=0, length=DIMS.parameter_count, fill=0.0, batch_size=1, spent=(0.0, 0.0)):
-    release = GradientRelease(step, np.full(length, fill), PrivacyParams(*spent), 1.0, batch_size, False)
-    return encode(Grad(release))
+def _grad_frame(step=0, length=DIMS.parameter_count, fill=0.0, spent=(0.0, 0.0)):
+    return encode(Grad(step, np.full(length, fill), PrivacyParams(*spent)))
 
 
 @pytest.mark.parametrize(
@@ -338,13 +353,12 @@ def _grad_frame(step=0, length=DIMS.parameter_count, fill=0.0, batch_size=1, spe
         ([_grad_frame(fill=float("nan"))], ABORT_PROTOCOL, True),
         ([_grad_frame(length=DIMS.parameter_count - 1)], ABORT_PROTOCOL, True),
         ([_grad_frame(step=1)], ABORT_PROTOCOL, True),
-        ([_grad_frame(batch_size=0)], ABORT_PROTOCOL, True),
         ([_grad_frame(length=DIMS.parameter_count + 1)], ABORT_DECODE, False),
         ([MAGIC + struct.pack("<BI", TAG_GRAD, 0xFFFFFFFF)], ABORT_DECODE, False),
         ([_grad_frame(spent=(1.0, 0.6)), _grad_frame(step=1, spent=(1.0, 0.6))], ABORT_PROTOCOL, True),
         ([_grad_frame(spent=(1.7e308, 0.0)), _grad_frame(step=1, spent=(1.7e308, 0.0))], ABORT_PROTOCOL, True),
     ],
-    ids=["nan", "short", "wrong-step", "zero-batch", "over-long", "huge-header",
+    ids=["nan", "short", "wrong-step", "over-long", "huge-header",
          "delta-total-past-1", "epsilon-total-overflows"],
 )
 def test_bad_worker_frame_aborts_session_cleanly(frames, code, recorded):
@@ -390,13 +404,16 @@ def test_bad_worker_frame_aborts_session_cleanly(frames, code, recorded):
 
 
 @pytest.mark.parametrize(
-    "bad_peer, code, raised",
-    [(True, ABORT_PROTOCOL, ProtocolError), (False, ABORT_TIMEOUT, TimedOut)],
-    ids=["bad-hello", "accept-timeout"],
+    "bad_version, code, raised",
+    [(9, ABORT_PROTOCOL, ProtocolError), (1, ABORT_PROTOCOL, ProtocolError),
+     (None, ABORT_TIMEOUT, TimedOut)],
+    ids=["bad-hello", "v1-hello", "accept-timeout"],
 )
-def test_failed_admission_aborts_admitted_workers(bad_peer, code, raised):
+def test_failed_admission_aborts_admitted_workers(bad_version, code, raised):
     # an honest worker is admitted; then a raw socket says HELLO for protocol
-    # version 9, or nobody else connects before the coordinator's timeout
+    # version 9 or 1 (whose GRAD carried a batch size), or nobody else
+    # connects before the coordinator's timeout
+    bad_peer = bad_version is not None
     cfg = session_cfg(2, 3, timeout=10.0 if bad_peer else 0.5)
     coord = Coordinator(cfg)
     address = coord.bind()
@@ -419,7 +436,7 @@ def test_failed_admission_aborts_admitted_workers(bad_peer, code, raised):
         while not coord.transcript and time.monotonic() < deadline:
             time.sleep(0.01)  # until the honest HELLO is in
         with socket.create_connection(address, timeout=10.0) as sock:
-            sock.sendall(encode(Hello(1, protocol_version=9)))
+            sock.sendall(encode(Hello(1, protocol_version=bad_version)))
     for t in threads:
         t.join(timeout=30)
         assert not t.is_alive(), "session hung"

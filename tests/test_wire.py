@@ -3,16 +3,17 @@ import struct
 import numpy as np
 import pytest
 
-from dpfed.dpsgd import GradientRelease
 from dpfed.errors import DecodeError, InvalidValue
 from dpfed.network import NetworkDims
 from dpfed.privacy import PrivacyParams
 from dpfed.rng import RandomSource
 from dpfed.wire import (
+    GRAD_HEADER_LEN,
     HEADER_LEN,
     MAGIC,
     PROTOCOL_VERSION,
     TAG_DONE,
+    TAG_GRAD,
     TAG_HELLO,
     Abort,
     Avg,
@@ -26,14 +27,7 @@ from dpfed.wire import (
 
 
 def sample_release(rng, step=3):
-    return GradientRelease(
-        step_id=step,
-        vector=rng.normals(11),
-        spent=PrivacyParams(0.5, 1e-6),
-        clip_bound=1.0,
-        batch_size=4,
-        noisy=True,
-    )
+    return Grad(step_id=step, vector=rng.normals(11), spent=PrivacyParams(0.5, 1e-6))
 
 
 def test_hello_frame_layout():
@@ -44,6 +38,17 @@ def test_hello_frame_layout():
     assert int.from_bytes(frame[9:13], "little") == 7
     assert int.from_bytes(frame[13:17], "little") == PROTOCOL_VERSION
     assert len(frame) == 17
+
+
+def test_grad_frame_layout():
+    # step, epsilon, delta, length, then the vector: nothing else about the batch
+    vec = np.array([0.25, -1.5, 3.0])
+    frame = encode(Grad(9, vec, PrivacyParams(0.5, 1e-6)))
+    assert GRAD_HEADER_LEN == 24
+    assert frame[4] == TAG_GRAD
+    assert len(frame) - HEADER_LEN == 24 + 8 * len(vec)
+    assert struct.unpack_from("<IddI", frame, HEADER_LEN) == (9, 0.5, 1e-6, 3)
+    assert frame[HEADER_LEN + 24 :] == vec.astype("<f8").tobytes()
 
 
 def test_done_frame_is_13_bytes():
@@ -60,7 +65,7 @@ def test_roundtrip_each_type():
         Hello(2**32 - 1, 1),
         Init(NetworkDims(3, 4, 5), 10, 1e-4, seed=42),
         Init(NetworkDims(2, 2, 2), 0, 0.5, parameters=rng.normals(NetworkDims(2, 2, 2).parameter_count)),
-        Grad(sample_release(rng)),
+        sample_release(rng),
         Avg(5, rng.normals(7)),
         Done(100),
         Abort(1, "budget exhausted"),
@@ -73,15 +78,12 @@ def test_roundtrip_each_type():
 def test_roundtrip_randomized():
     rng = RandomSource(99)
     for trial in range(200):
-        r = GradientRelease(
+        grad = Grad(
             step_id=trial,
             vector=rng.normals(1 + trial % 17),
             spent=PrivacyParams(float(trial % 5), 1e-7 * (trial % 3)),
-            clip_bound=0.1 + trial,
-            batch_size=1 + trial % 9,
-            noisy=bool(trial % 2),
         )
-        assert decode(encode(Grad(r))) == Grad(r)
+        assert decode(encode(grad)) == grad
         avg = Avg(trial, rng.normals(trial % 13))
         assert decode(encode(avg)) == avg
 
@@ -164,6 +166,5 @@ def test_init_parameter_payload_length_checked():
 
 def test_grad_preserves_exact_floats():
     vec = np.array([0.1, -1.0 / 3.0, 1e-300, 123456.789])
-    release = GradientRelease(2, vec, PrivacyParams(0.0, 0.0), 1.0, 1, False)
-    back = decode(encode(Grad(release)))
-    assert back.release.vector.tolist() == vec.tolist()
+    back = decode(encode(Grad(2, vec, PrivacyParams(0.0, 0.0))))
+    assert back.vector.tolist() == vec.tolist()
