@@ -25,7 +25,7 @@ bounds = ClampBounds(0.0, 100.0)
 ages = [31.0, 44.0, 29.0, 52.0, 61.0, 38.0, 47.0, 55.0, 26.0, 34.0]
 true_mean = sum(ages) / len(ages)
 
-print(f"true mean {true_mean:.2f}, sensitivity {mean_sensitivity(bounds, len(ages)).value:g}")
+print(f"true mean {true_mean:.2f}, sensitivity {mean_sensitivity(bounds, len(ages)):g}")
 for eps in (0.1, 0.5, 1.0, 5.0):
     draws = [dp_mean(ages, bounds, eps, rng.derive("demo", i)) for i in range(5)]
     shown = ", ".join(f"{d:7.2f}" for d in draws)

@@ -11,7 +11,7 @@ the release independent of how wild any single sequence is.
 import numpy as np
 
 from dpfed.data import SynthSpec, synth_generate
-from dpfed.dpsgd import DpSgdConfig, dp_gradient_release, noise_sigma
+from dpfed.dpsgd import DpSgdConfig, dp_gradient_release, l2_clip, noise_sigma
 from dpfed.network import NetworkDims, init_network, per_example_gradients
 from dpfed.privacy import AccountLedger, PrivacyParams
 from dpfed.rng import RandomSource
@@ -40,13 +40,10 @@ cfg = DpSgdConfig(
 )
 print(f"clip bound {cfg.clip_bound}, noise sigma {noise_sigma(cfg, len(batch))}")
 
-clipped_norms = []
+print("norms after clipping:   ",
+      ", ".join(f"{np.linalg.norm(l2_clip(g, cfg.clip_bound)):.3f}" for g in per_example))
 ledger = AccountLedger(PrivacyParams(1000.0, 1e-3))
-release, ledger = dp_gradient_release(
-    per_example, cfg, ledger, rng.derive("noise"), step_id=0,
-    clip_hook=lambda g: clipped_norms.append(float(np.linalg.norm(g))),
-)
-print("norms after clipping:   ", ", ".join(f"{n:.3f}" for n in clipped_norms))
+release, ledger = dp_gradient_release(per_example, cfg, ledger, rng.derive("noise"), step_id=0)
 print(f"released vector norm {np.linalg.norm(release.vector):.3f} "
       f"(mostly noise: sigma * sqrt({net.parameter_count}) = "
       f"{0.098 * np.sqrt(net.parameter_count):.3f})")

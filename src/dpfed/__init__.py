@@ -16,7 +16,6 @@ from .federation import Coordinator, SessionConfig, WorkerSpec, inproc_session, 
 from .network import Network, NetworkDims, forward, init_network, loss, sequence_gradient
 from .privacy import (
     AccountLedger,
-    Adjacency,
     ClampBounds,
     PrivacyParams,
     compose,
@@ -31,7 +30,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccountLedger",
-    "Adjacency",
     "ClampBounds",
     "Coordinator",
     "Dataset",

@@ -404,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Differentially private federated training of a frame classifier.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    timeout = dict(type=_as_seconds, default=60.0, help="socket timeout seconds (default %(default)s)")
+    timeout = dict(type=_as_seconds, default=60.0, help="seconds allowed for each whole message (default %(default)s)")
 
     p = sub.add_parser("synth", help="generate a synthetic SENO corpus")
     p.add_argument("--spec", help="key=value synthesis recipe file")

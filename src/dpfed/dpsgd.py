@@ -3,12 +3,13 @@ built on them.
 
 One release: clip every per-sequence gradient to L2 norm C, average the
 clipped gradients over the batch, then add i.i.d. Gaussian noise per
-coordinate. The noise level comes from the mean's sensitivity (C/B under
-add/remove adjacency, 2C/B under replace) at the configured per-step
-(epsilon, delta), unless ``noise_override`` pins a positive sigma
-directly; a noisy release never has sigma 0. Every noisy release charges
-its step parameters to the account ledger before any noise is drawn; a
-refused charge emits nothing.
+coordinate. The noise level comes from the mean's sensitivity, C/B when
+adjacent batches differ by one added or removed sequence, at the
+configured per-step (epsilon, delta), unless ``noise_override`` pins a
+positive sigma directly; a noisy release never has sigma 0. Either way a
+noisy release is charged its step (epsilon, delta), both positive, since
+Gaussian noise never gives a pure-epsilon guarantee. The charge is made
+before any noise is drawn; a refused charge emits nothing.
 
 The release is a ``wire.Grad``: step, vector and spend, and nothing more.
 Clip bound and noisiness are the worker's own settings, and the batch
@@ -24,21 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import EmptyDataset, InvalidGradient, InvalidValue, ShapeError
 from .network import Network, apply_update, per_example_gradients
-from .privacy import (
-    ZERO_SPEND,
-    AccountLedger,
-    Adjacency,
-    PrivacyParams,
-    Sensitivity,
-    compose,
-    gaussian_sigma,
-)
+from .privacy import ZERO_SPEND, AccountLedger, PrivacyParams, compose, gaussian_sigma
 from .rng import RandomSource
 from .wire import Grad
 
@@ -51,7 +44,6 @@ class DpSgdConfig:
     step_params: PrivacyParams
     learning_rate: float
     batch_size: int
-    adjacency: Adjacency = Adjacency.ADD_REMOVE
     noise_override: float | None = None
     noisy: bool = True
 
@@ -69,10 +61,8 @@ class DpSgdConfig:
                 f"noise override must be finite and positive, got {self.noise_override}"
                 " (noisy = false releases without noise)"
             )
-        if self.noisy and self.noise_override is None and self.step_params.delta <= 0.0:
-            raise InvalidValue("calibrated Gaussian noise needs step delta > 0")
-        if self.noisy and self.step_params.epsilon <= 0.0:
-            raise InvalidValue("noisy releases need step epsilon > 0")
+        if self.noisy and not (self.step_params.epsilon > 0.0 and self.step_params.delta > 0.0):
+            raise InvalidValue("Gaussian noise needs step epsilon > 0 and delta > 0")
 
 
 def fixed_order_mean(vectors: Sequence[np.ndarray]) -> np.ndarray:
@@ -103,9 +93,7 @@ def noise_sigma(cfg: DpSgdConfig, batch_size: int) -> float:
         return 0.0
     if cfg.noise_override is not None:
         return cfg.noise_override
-    per_record = cfg.clip_bound if cfg.adjacency is Adjacency.ADD_REMOVE else 2.0 * cfg.clip_bound
-    sens = Sensitivity(per_record / batch_size, cfg.adjacency)
-    return gaussian_sigma(sens, cfg.step_params)
+    return gaussian_sigma(cfg.clip_bound / batch_size, cfg.step_params)
 
 
 def dp_gradient_release(
@@ -114,13 +102,12 @@ def dp_gradient_release(
     ledger: AccountLedger,
     rng: RandomSource,
     step_id: int,
-    clip_hook: Callable[[np.ndarray], None] | None = None,
 ) -> tuple[Grad, AccountLedger]:
     """Clip, average, account, noise: one private release from raw gradients.
 
     The budget is charged before noise is sampled, so a BudgetExceeded
     leaves both the ledger and the rng stream untouched and no release
-    escapes. ``clip_hook`` sees each clipped gradient, for norm audits.
+    escapes.
     """
     if len(per_example) == 0:
         raise EmptyDataset("release needs at least one gradient")
@@ -130,8 +117,6 @@ def dp_gradient_release(
         c = l2_clip(g, cfg.clip_bound)
         if len(c) != n:
             raise ShapeError("per-example gradients must all have the same length")
-        if clip_hook is not None:
-            clip_hook(c)
         clipped.append(c)
     acc = fixed_order_mean(clipped)
 
@@ -149,11 +134,10 @@ def train_step(
     ledger: AccountLedger,
     rng: RandomSource,
     step_id: int,
-    clip_hook: Callable[[np.ndarray], None] | None = None,
 ) -> tuple[Grad, AccountLedger]:
     """Per-example gradients for the batch, then one private release."""
     grads = per_example_gradients(net, batch)
-    return dp_gradient_release(grads, cfg, ledger, rng, step_id, clip_hook)
+    return dp_gradient_release(grads, cfg, ledger, rng, step_id)
 
 
 class BatchSampler:

@@ -261,9 +261,9 @@ def _charge_grad(msg: Message, step: int, dims: NetworkDims, ledger: AccountLedg
         raise ProtocolError(f"declared a total spend past any valid (epsilon, delta) at step {step}") from None
 
 
-def _admit(link, links: dict, transcript: list[TranscriptEntry]) -> None:
-    """Read a worker's HELLO and register its link under the announced id."""
-    hello, size = link.recv()
+def _admit(link, received: tuple[Message, int], links: dict, transcript: list[TranscriptEntry]) -> None:
+    """Register ``link`` under the id its (HELLO, payload length) announces."""
+    hello, size = received
     if not isinstance(hello, Hello):
         raise ProtocolError(f"expected HELLO, got {type(hello).__name__}")
     if hello.protocol_version != PROTOCOL_VERSION:
@@ -376,7 +376,8 @@ def inproc_session(
     links: dict[int, _LocalLink] = {}
     transcript: list[TranscriptEntry] = []
     for wid in wids:
-        _admit(_LocalLink(replicas[wid]), links, transcript)
+        link = _LocalLink(replicas[wid])
+        _admit(link, link.recv(), links, transcript)
 
     def networks() -> dict[int, Network]:
         return {wid: replicas[wid].net for wid in wids}
@@ -392,30 +393,43 @@ def inproc_session(
     )
 
 
+def _time_left(deadline: float) -> float:
+    """Seconds to the ``time.monotonic()`` ``deadline``; socket.timeout past it."""
+    left = deadline - time.monotonic()
+    if left <= 0.0:
+        raise socket.timeout
+    return left
+
+
 class MessageStream:
     """Length-prefixed framing over a connected socket; a declared payload
-    above ``max_payload`` is refused before any of it is read."""
+    above ``max_payload`` is refused before any of it is read. The socket
+    needs a timeout; it bounds each whole frame, not each ``recv``, so a
+    peer cannot hold a reader by trickling bytes."""
 
     _CHUNK = 1 << 16  # largest single recv, whatever length a peer declares
 
     def __init__(self, sock: socket.socket, max_payload: int | None = None):
         self._sock = sock
         self._max_payload = max_payload
+        self._timeout = sock.gettimeout()
 
     def send(self, msg: Message) -> int:
         """Send one frame; returns its payload length."""
         frame = encode(msg)
         try:
+            self._sock.settimeout(self._timeout)
             self._sock.sendall(frame)
         except OSError as exc:
             raise TransportError(f"send failed: {exc}") from exc
         return len(frame) - HEADER_LEN
 
-    def _read_exact(self, n: int) -> bytes:
+    def _read_exact(self, n: int, deadline: float) -> bytes:
         chunks = []
         remaining = n
         while remaining:
             try:
+                self._sock.settimeout(_time_left(deadline))
                 chunk = self._sock.recv(min(remaining, self._CHUNK))
             except socket.timeout as exc:
                 raise TimedOut("peer did not respond within the timeout") from exc
@@ -427,13 +441,17 @@ class MessageStream:
             remaining -= len(chunk)
         return b"".join(chunks)
 
-    def recv(self) -> tuple[Message, int]:
-        """Read one frame; returns the message and its payload length."""
-        header = self._read_exact(HEADER_LEN)
+    def recv(self, deadline: float | None = None) -> tuple[Message, int]:
+        """Read one frame, whole by ``deadline`` (a ``time.monotonic()``
+        instant, by default one timeout from now) or TimedOut; returns the
+        message and its payload length."""
+        if deadline is None:
+            deadline = time.monotonic() + self._timeout
+        header = self._read_exact(HEADER_LEN, deadline)
         payload_len = payload_length(header)
         if self._max_payload is not None and payload_len > self._max_payload:
             raise DecodeError(f"declared payload of {payload_len} bytes exceeds {self._max_payload}")
-        return decode(header + self._read_exact(payload_len)), payload_len
+        return decode(header + self._read_exact(payload_len, deadline)), payload_len
 
     def close(self) -> None:
         try:
@@ -469,23 +487,26 @@ class Coordinator:
         return self.address
 
     def run(self) -> SessionSummary:
-        """Admit ``n_workers`` connections, then drive the session over them.
-        If admission fails, the workers already admitted get an ABORT."""
+        """Admit ``n_workers`` connections, all with their HELLO within one
+        timeout, then drive the session over them. If admission fails, the
+        workers already admitted get an ABORT."""
         if self._listener is None:
             self.bind()
         cfg = self.cfg
+        deadline = time.monotonic() + cfg.timeout
         streams: list[MessageStream] = []
         links: dict[int, MessageStream] = {}
         try:
             for _ in range(cfg.n_workers):
                 try:
+                    self._listener.settimeout(_time_left(deadline))
                     conn, _ = self._listener.accept()
                 except socket.timeout as exc:
                     raise TimedOut(f"only {len(links)} of {cfg.n_workers} workers connected") from exc
                 conn.settimeout(cfg.timeout)
                 # no legal worker frame is larger than a full GRAD
                 streams.append(MessageStream(conn, GRAD_HEADER_LEN + 8 * cfg.dims.parameter_count))
-                _admit(streams[-1], links, self.transcript)
+                _admit(streams[-1], streams[-1].recv(deadline), links, self.transcript)
         except DpFedError as exc:
             # tell the workers already admitted why no INIT will come
             code = ABORT_TIMEOUT if isinstance(exc, TimedOut) else ABORT_PROTOCOL
@@ -516,9 +537,7 @@ def _connect(host: str, port: int, timeout: float) -> socket.socket:
     deadline = time.monotonic() + timeout
     while True:
         try:
-            sock = socket.create_connection((host, port), timeout=timeout)
-            sock.settimeout(timeout)
-            return sock
+            return socket.create_connection((host, port), timeout=timeout)
         except ConnectionRefusedError:
             if time.monotonic() >= deadline:
                 raise TransportError(f"coordinator at {host}:{port} never came up")

@@ -2,8 +2,8 @@
 the Laplace mean release, linear composition accounting, and an empirical
 distinguishability probe.
 
-The guarantee tracked throughout is (epsilon, delta)-DP under a stated
-adjacency relation: for adjacent datasets D, D' and any outcome set S,
+The guarantee tracked throughout is (epsilon, delta)-DP: for datasets D,
+D' that differ in one record and any outcome set S,
 
     Pr[M(D) in S] <= exp(epsilon) * Pr[M(D') in S] + delta.
 
@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import InitVar, dataclass
-from enum import Enum
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Sequence
 
@@ -33,13 +32,6 @@ from .errors import (
     NotAdjacent,
 )
 from .rng import RandomSource
-
-
-class Adjacency(Enum):
-    """How neighbouring datasets differ: one record added/removed, or one replaced."""
-
-    ADD_REMOVE = "add_remove"
-    REPLACE = "replace"
 
 
 @dataclass(frozen=True)
@@ -81,18 +73,6 @@ class ClampBounds:
         return self.upper - self.lower
 
 
-@dataclass(frozen=True)
-class Sensitivity:
-    """Worst-case change of a query over adjacent datasets."""
-
-    value: float
-    adjacency: Adjacency
-
-    def __post_init__(self):
-        if not (math.isfinite(self.value) and self.value >= 0.0):
-            raise InvalidValue(f"sensitivity must be finite and >= 0, got {self.value}")
-
-
 def clamp(x: float, bounds: ClampBounds) -> float:
     """Clamp a scalar into [lower, upper]. NaN is rejected, not clamped."""
     if math.isnan(x):
@@ -104,16 +84,15 @@ def clamp(x: float, bounds: ClampBounds) -> float:
     return float(x)
 
 
-def mean_sensitivity(bounds: ClampBounds, n: int, adjacency: Adjacency = Adjacency.ADD_REMOVE) -> Sensitivity:
+def mean_sensitivity(bounds: ClampBounds, n: int) -> float:
     """Global sensitivity of the clamped mean of n records.
 
     Removing, adding, or replacing one clamped record moves the mean of n
-    records by at most (upper - lower) / n, so both adjacencies give the
-    same value here.
+    records by at most (upper - lower) / n.
     """
     if n < 1:
         raise EmptyDataset("mean sensitivity needs n >= 1")
-    return Sensitivity(bounds.width / n, adjacency)
+    return bounds.width / n
 
 
 def laplace_sample(scale: float, rng: RandomSource) -> float:
@@ -127,18 +106,20 @@ def laplace_sample(scale: float, rng: RandomSource) -> float:
     return -scale * math.copysign(1.0, c) * math.log1p(-2.0 * abs(c))
 
 
-def gaussian_sigma(sensitivity: Sensitivity, params: PrivacyParams) -> float:
+def gaussian_sigma(sensitivity: float, params: PrivacyParams) -> float:
     """Noise level for the Gaussian mechanism at the given (epsilon, delta).
 
     sigma = sensitivity * sqrt(2 * ln(1.25 / delta)) / epsilon, the classic
     calibration. It is only valid for epsilon <= 1: above that this sigma
     can be too small for the (epsilon, delta) claimed.
     """
+    if not (math.isfinite(sensitivity) and sensitivity >= 0.0):
+        raise InvalidValue(f"sensitivity must be finite and >= 0, got {sensitivity}")
     if params.delta <= 0.0:
         raise GaussianRequiresDelta("Gaussian mechanism needs delta > 0")
     if params.epsilon <= 0.0:
         raise InvalidValue("Gaussian mechanism needs epsilon > 0")
-    return sensitivity.value * math.sqrt(2.0 * math.log(1.25 / params.delta)) / params.epsilon
+    return sensitivity * math.sqrt(2.0 * math.log(1.25 / params.delta)) / params.epsilon
 
 
 def dp_mean(values: Sequence[float], bounds: ClampBounds, epsilon: float, rng: RandomSource) -> float:
@@ -187,26 +168,34 @@ def _charge(totals: tuple, step: PrivacyParams) -> tuple:
     return _add_exact(totals[0], step.epsilon), _add_exact(totals[1], step.delta)
 
 
-@dataclass(frozen=True)
 class AccountLedger:
     """Immutable privacy ledger: a budget plus the steps charged so far.
 
-    It also keeps the exact epsilon and delta sums of the entries as
-    partials, usually one or two floats each, so a charge is O(1)
-    arithmetic and ``spent`` equals ``math.fsum`` over the entries bit for
-    bit. ``totals`` passes in those partials; without it they are derived.
+    The entries are a chain of (previous, entry) pairs that ledgers charged
+    one from another share, so a charge copies nothing and ``entries`` is
+    built when it is read. The exact epsilon and delta sums are kept as
+    partials, usually one or two floats each, so a charge is O(1) and
+    ``spent`` equals ``math.fsum`` over the entries bit for bit.
     """
 
-    budget: PrivacyParams
-    entries: tuple[tuple[str, PrivacyParams], ...] = ()
-    totals: InitVar[tuple | None] = None
+    __slots__ = ("budget", "_chain", "_totals")
 
-    def __post_init__(self, totals):
-        if totals is None:
-            totals = ((), ())
-            for _, p in self.entries:
-                totals = _charge(totals, p)
-        object.__setattr__(self, "_totals", totals)
+    def __init__(self, budget: PrivacyParams, entries: Sequence[tuple[str, PrivacyParams]] = ()):
+        chain, totals = None, ((), ())
+        for entry in entries:
+            chain, totals = (chain, entry), _charge(totals, entry[1])
+        _set_ledger(self, budget, chain, totals)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"AccountLedger is immutable: cannot set {name!r}")
+
+    @property
+    def entries(self) -> tuple[tuple[str, PrivacyParams], ...]:
+        newest_first, chain = [], self._chain
+        while chain is not None:
+            chain, entry = chain
+            newest_first.append(entry)
+        return tuple(reversed(newest_first))
 
     @property
     def spent(self) -> PrivacyParams:
@@ -227,6 +216,12 @@ class AccountLedger:
         return "\n".join([f"{'label':<28}{'epsilon':>14}{'delta':>14}", *lines])
 
 
+def _set_ledger(ledger: AccountLedger, budget: PrivacyParams, chain: tuple | None, totals: tuple) -> AccountLedger:
+    for name, value in zip(AccountLedger.__slots__, (budget, chain, totals)):
+        object.__setattr__(ledger, name, value)
+    return ledger
+
+
 def compose(ledger: AccountLedger, label: str, step: PrivacyParams) -> AccountLedger:
     """Charge one step to the ledger under linear composition.
 
@@ -242,7 +237,7 @@ def compose(ledger: AccountLedger, label: str, step: PrivacyParams) -> AccountLe
             f"step {label!r} ({step.epsilon}, {step.delta}) would raise spend to "
             f"({eps}, {delta}) over budget ({ledger.budget.epsilon}, {ledger.budget.delta})"
         )
-    return AccountLedger(ledger.budget, ledger.entries + ((label, step),), totals)
+    return _set_ledger(object.__new__(AccountLedger), ledger.budget, (ledger._chain, (label, step)), totals)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ from dpfed.privacy import (
     AccountLedger,
     ClampBounds,
     PrivacyParams,
-    Sensitivity,
     compose,
     dp_mean,
     distinguishability_probe,
@@ -155,7 +154,7 @@ def test_gate_02_noiseless_release_degenerates_to_plain_sgd(report):
 
 def test_gate_03_noise_calibration_values(report):
     bounds = ClampBounds(0.0, 100.0)
-    scale = mean_sensitivity(bounds, 10).value / 1.0
+    scale = mean_sensitivity(bounds, 10) / 1.0
     scale_exact = scale == 10.0
 
     # behavioral cross-check: dp_mean must add exactly that Laplace draw
@@ -164,8 +163,7 @@ def test_gate_03_noise_calibration_values(report):
     replayed = sum(values) / 10.0 + laplace_sample(10.0, RandomSource(31))
     behave_exact = released == replayed
 
-    sigma = gaussian_sigma(Sensitivity(1.0, mean_sensitivity(bounds, 10).adjacency),
-                           PrivacyParams(100.0, 1e-6))
+    sigma = gaussian_sigma(1.0, PrivacyParams(100.0, 1e-6))
     sigma_close = abs(sigma - 0.052992) < SIGMA_TOLERANCE
 
     dp_cfg = DpSgdConfig(

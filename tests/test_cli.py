@@ -302,10 +302,11 @@ def _exit_code(argv):
         ("coordinator", ["--seed", "18446744073709551616"], None),
         ("coordinator", ["--workers", "1099511627776"], None),
         ("worker", [], "dp.noise_override = 0\n"),
+        ("worker", [], "dp.noise_override = 0.098\ndp.delta_step = 0\n"),
     ],
     ids=["port-out-of-range", "timeout-nan", "timeout-negative", "timeout-inf",
          "config-clip-nan", "worker-lr-gone", "init-seed-past-u64", "workers-past-u32",
-         "zero-noise-override"],
+         "zero-noise-override", "override-zero-delta"],
 )
 def test_bad_values_are_usage_errors(command, extra, config, corpus, tmp_path):
     # every other setting is valid, so the one bad value decides the outcome

@@ -449,6 +449,103 @@ def test_failed_admission_aborts_admitted_workers(bad_version, code, raised):
     ]
 
 
+def _trickle(sock, data, stop, gap=0.1):
+    # send one byte per gap, well inside any single recv's timeout
+    for i in range(len(data)):
+        if stop.wait(gap):
+            return
+        try:
+            sock.sendall(data[i : i + 1])
+        except OSError:
+            return  # the reader gave up and closed
+
+
+def test_trickled_frame_times_out_within_one_timeout():
+    # 17 HELLO bytes at 0.1 s each take 1.7 s; the frame has 0.3 s in all
+    reader, writer = socket.socketpair()
+    reader.settimeout(0.3)
+    stop = threading.Event()
+    sender = threading.Thread(target=_trickle, args=(writer, encode(Hello(1)), stop))
+    sender.start()
+    try:
+        t0 = time.monotonic()
+        with pytest.raises(TimedOut):
+            MessageStream(reader).recv()
+        assert time.monotonic() - t0 < 1.0
+    finally:
+        stop.set()
+        sender.join(timeout=10)
+        reader.close()
+        writer.close()
+    assert not sender.is_alive()
+
+
+def test_trickling_worker_ends_session_in_timeout_abort():
+    # a scripted worker says HELLO, then trickles its first GRAD
+    cfg = session_cfg(1, 3, timeout=0.5)
+    coord = Coordinator(cfg)
+    address = coord.bind()
+    box = {}
+    stop = threading.Event()
+
+    def fake_worker():
+        with socket.create_connection(address, timeout=10.0) as sock:
+            sock.sendall(encode(Hello(0)))
+            MessageStream(sock).recv()  # INIT
+            box["init_at"] = time.monotonic()
+            _trickle(sock, _grad_frame(), stop)
+
+    worker = threading.Thread(target=fake_worker)
+    worker.start()
+    try:
+        box["summary"] = coord.run()
+        box["ended_at"] = time.monotonic()
+    finally:
+        stop.set()
+        worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert box["summary"].aborted == ABORT_TIMEOUT
+    assert box["summary"].steps_completed == 0
+    assert box["ended_at"] - box["init_at"] < 1.5
+
+
+def test_admission_has_one_deadline():
+    # each worker connects and says HELLO 0.3 s after the one before: every
+    # wait is inside the 0.5 s timeout, but admitting both takes 0.6 s
+    cfg = session_cfg(2, 3, timeout=0.5)
+    coord = Coordinator(cfg)
+    address = coord.bind()
+    stop = threading.Event()
+
+    def late_workers():
+        socks = []
+        try:
+            for wid in range(2):
+                if stop.wait(0.3):
+                    return
+                socks.append(socket.create_connection(address, timeout=10.0))
+                socks[-1].sendall(encode(Hello(wid)))
+            stop.wait(10.0)
+        finally:
+            for sock in socks:
+                sock.close()
+
+    peers = threading.Thread(target=late_workers)
+    peers.start()
+    t0 = time.monotonic()
+    try:
+        with pytest.raises(TimedOut, match="only 1 of 2"):
+            coord.run()
+        assert time.monotonic() - t0 < 1.0
+    finally:
+        stop.set()
+        peers.join(timeout=10)
+    assert not peers.is_alive()
+    assert [(e.direction, e.worker_id, e.kind) for e in coord.transcript] == [
+        ("recv", 0, "HELLO"), ("send", 0, "ABORT"),
+    ]
+
+
 def test_worker_aborts_on_non_finite_average():
     # a scripted coordinator answers the first release with a NaN average
     listener = socket.create_server(("127.0.0.1", 0))

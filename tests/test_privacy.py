@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,10 +14,8 @@ from dpfed.errors import (
 )
 from dpfed.privacy import (
     AccountLedger,
-    Adjacency,
     ClampBounds,
     PrivacyParams,
-    Sensitivity,
     clamp,
     compose,
     distinguishability_probe,
@@ -73,12 +72,8 @@ def test_clamp_values():
 
 def test_mean_sensitivity_value():
     b = ClampBounds(0.0, 100.0)
-    s = mean_sensitivity(b, 10)
-    assert s.value == 10.0
-    assert s.adjacency is Adjacency.ADD_REMOVE
-    # replacing one record moves a mean of n records by at most the same amount
-    assert mean_sensitivity(b, 10, Adjacency.REPLACE).value == 10.0
-    assert mean_sensitivity(ClampBounds(-1.0, 1.0), 4).value == 0.5
+    assert mean_sensitivity(b, 10) == 10.0
+    assert mean_sensitivity(ClampBounds(-1.0, 1.0), 4) == 0.5
     with pytest.raises(EmptyDataset):
         mean_sensitivity(b, 0)
 
@@ -112,15 +107,18 @@ def test_laplace_moments():
 
 
 def test_gaussian_sigma_oracle():
-    sens = Sensitivity(1.0, Adjacency.ADD_REMOVE)
-    sigma = gaussian_sigma(sens, PrivacyParams(100.0, 1e-6))
+    sigma = gaussian_sigma(1.0, PrivacyParams(100.0, 1e-6))
     assert sigma == pytest.approx(0.052992, abs=1e-5)
     # direct recomputation of the calibration formula
     assert sigma == pytest.approx(math.sqrt(2.0 * math.log(1.25e6)) / 100.0, rel=1e-14)
     with pytest.raises(GaussianRequiresDelta):
-        gaussian_sigma(sens, PrivacyParams(1.0, 0.0))
+        gaussian_sigma(1.0, PrivacyParams(1.0, 0.0))
     with pytest.raises(InvalidValue):
-        gaussian_sigma(sens, PrivacyParams(0.0, 1e-6))
+        gaussian_sigma(1.0, PrivacyParams(0.0, 1e-6))
+    assert gaussian_sigma(0.0, PrivacyParams(1.0, 1e-6)) == 0.0
+    for sens in (-1e-12, math.nan, math.inf):
+        with pytest.raises(InvalidValue):
+            gaussian_sigma(sens, PrivacyParams(1.0, 1e-6))
 
 
 def test_dp_mean_noise_scale_and_determinism():
@@ -240,6 +238,41 @@ def test_refused_charge_leaves_ledger_unchanged():
     # later charges still add to the untouched totals exactly
     ledger = compose(ledger, "fits", PrivacyParams(0.3, 3e-6))
     assert ledger.spent == PrivacyParams(math.fsum([0.1] * 7 + [0.3]), math.fsum([1e-6] * 7 + [3e-6]))
+
+
+def test_ledger_charges_on_one_ledger_stay_independent():
+    base = AccountLedger(PrivacyParams(10.0, 1e-3))
+    for i in range(3):
+        base = compose(base, str(i), PrivacyParams(0.5, 1e-6))
+    a = compose(base, "a", PrivacyParams(1.0, 0.0))
+    b = compose(base, "b", PrivacyParams(2.0, 1e-5))
+    a2 = compose(a, "a2", PrivacyParams(0.25, 0.0))
+    assert [label for label, _ in base.entries] == ["0", "1", "2"]
+    assert [label for label, _ in a.entries] == ["0", "1", "2", "a"]
+    assert [label for label, _ in b.entries] == ["0", "1", "2", "b"]
+    assert [label for label, _ in a2.entries] == ["0", "1", "2", "a", "a2"]
+    assert base.spent == PrivacyParams(1.5, 3e-6)
+    assert b.spent == PrivacyParams(3.5, math.fsum([1e-6] * 3 + [1e-5]))
+    assert a2.spent == PrivacyParams(2.75, 3e-6)
+    with pytest.raises(AttributeError):
+        a.budget = PrivacyParams(1e6, 0.5)
+
+
+def _seconds_for_charges(ledger, n):
+    step = PrivacyParams(1e-6, 0.0)
+    t0 = time.perf_counter()
+    for _ in range(n):
+        ledger = compose(ledger, "charge", step)
+    return time.perf_counter() - t0
+
+
+def test_ledger_charge_cost_does_not_grow_with_entries():
+    budget = PrivacyParams(1e6, 0.5)
+    long = AccountLedger(budget, (("old", PrivacyParams(1e-6, 0.0)),) * 50_000)
+    # best of three, so a scheduler hiccup on a shared host does not decide it
+    empty_s = min(_seconds_for_charges(AccountLedger(budget), 2000) for _ in range(3))
+    long_s = min(_seconds_for_charges(long, 2000) for _ in range(3))
+    assert long_s <= 4.0 * empty_s, (long_s, empty_s)
 
 
 def test_ledger_epsilon_overflow_is_over_budget():
