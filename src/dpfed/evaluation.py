@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset
-from .errors import EmptyDataset, FormatError, ShapeError
+from .errors import EmptyDataset, ShapeError
 from .network import Network, forward
 
 LEAK_THRESHOLD_POINTS = 5.0
@@ -45,12 +45,6 @@ class EvalReport:
     @property
     def overall(self) -> float:
         return self.n_correct / self.n_frames
-
-    def speaker(self, speaker_id: int) -> SpeakerScore:
-        for s in self.speakers:
-            if s.speaker_id == speaker_id:
-                return s
-        raise KeyError(f"no speaker {speaker_id} in report")
 
     def render_text(self) -> str:
         lines = [f"overall    {self.overall:8.4f}  ({self.n_correct}/{self.n_frames} frames)"]
@@ -137,7 +131,9 @@ def membership_gap(candidate: Network, baseline: Network, probe_set: Dataset) ->
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Accuracy of every model on every test set, as a renderable table."""
+    """Accuracy of every model on every test set, as a renderable table.
+
+    The TSV form is written for other tools; dpfed never reads it back."""
 
     rows: tuple[tuple[str, str, float], ...]
 
@@ -154,25 +150,6 @@ class ExperimentReport:
         for model, test, acc in self.rows:
             lines.append(f"{model}\t{test}\t{acc!r}")
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_tsv(cls, text: str) -> "ExperimentReport":
-        lines = text.strip().splitlines()
-        if not lines or lines[0] != "model\ttestset\taccuracy":
-            raise FormatError("missing report header")
-        rows = []
-        for line in lines[1:]:
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FormatError(f"bad report row {line!r}")
-            rows.append((parts[0], parts[1], float(parts[2])))
-        return cls(rows=tuple(rows))
-
-    def lookup(self, model: str, test: str) -> float:
-        for m, t, acc in self.rows:
-            if m == model and t == test:
-                return acc
-        raise KeyError(f"no row for ({model}, {test})")
 
 
 def cross_evaluate(

@@ -179,19 +179,8 @@ class WorkerReplica:
 
 
 def average_releases(releases: Sequence[Grad]) -> np.ndarray:
-    """Unweighted mean of release vectors, summed in the order given.
-
-    Callers pass releases in ascending worker id order; the fixed
-    summation order is what makes the average bit-reproducible.
-    """
-    if not releases:
-        raise InvalidValue("cannot average zero releases")
-    first = releases[0]
-    for r in releases:
-        if r.step_id != first.step_id:
-            raise ProtocolError(f"mixed step ids {first.step_id} and {r.step_id} in one round")
-        if len(r.vector) != len(first.vector):
-            raise ProtocolError("release vectors differ in length")
+    """Unweighted mean of one round's releases, summed in ascending worker
+    id order; ``_charge_grad`` has checked each one's step and length."""
     return fixed_order_mean([r.vector for r in releases])
 
 
@@ -403,15 +392,16 @@ def _time_left(deadline: float) -> float:
 
 class MessageStream:
     """Length-prefixed framing over a connected socket; a declared payload
-    above ``max_payload`` is refused before any of it is read. The socket
-    needs a timeout; it bounds each whole frame, not each ``recv``, so a
-    peer cannot hold a reader by trickling bytes."""
+    above ``max_payload`` (None: no cap) is refused with DecodeError before
+    any of it is read. The socket needs a timeout; it bounds each whole
+    frame, not each ``recv``, so a peer cannot hold a reader by trickling
+    bytes."""
 
     _CHUNK = 1 << 16  # largest single recv, whatever length a peer declares
 
     def __init__(self, sock: socket.socket, max_payload: int | None = None):
         self._sock = sock
-        self._max_payload = max_payload
+        self.max_payload = max_payload
         self._timeout = sock.gettimeout()
 
     def send(self, msg: Message) -> int:
@@ -449,8 +439,8 @@ class MessageStream:
             deadline = time.monotonic() + self._timeout
         header = self._read_exact(HEADER_LEN, deadline)
         payload_len = payload_length(header)
-        if self._max_payload is not None and payload_len > self._max_payload:
-            raise DecodeError(f"declared payload of {payload_len} bytes exceeds {self._max_payload}")
+        if self.max_payload is not None and payload_len > self.max_payload:
+            raise DecodeError(f"declared payload of {payload_len} bytes exceeds {self.max_payload}")
         return decode(header + self._read_exact(payload_len, deadline)), payload_len
 
     def close(self) -> None:
@@ -553,9 +543,11 @@ def worker_run(
 
     Everything the worker does not own (dims, step count, learning rate,
     initial parameters) arrives in INIT; an INIT that breaks a session rule
-    raises DecodeError before the first release. Returns the final network
-    and ledger even when the session aborts; the ledger then reflects
-    exactly the releases that were emitted.
+    raises DecodeError before the first release. After INIT, a frame that
+    declares more payload than a full AVG (or 64 KiB, if that is more) is
+    refused unread and ends the session in ABORT_DECODE. Returns the final
+    network and ledger even when the session aborts; the ledger then
+    reflects exactly the releases that were emitted.
     """
     host, port = address
     _check_endpoint(port, timeout)
@@ -567,6 +559,9 @@ def worker_run(
         if not isinstance(msg, Init):
             got = f"ABORT ({abort_name(msg.code)})" if isinstance(msg, Abort) else type(msg).__name__
             raise ProtocolError(f"expected INIT, got {got}")
+        # no later coordinator frame is larger than a full AVG; the floor
+        # leaves room for any ABORT reason
+        stream.max_payload = max(8 + 8 * msg.dims.parameter_count, MessageStream._CHUNK)
         total = msg.total_steps
         while not (isinstance(msg, Abort) or isinstance(msg, Done) and replica.steps_completed == total):
             answer = replica.reply(msg)

@@ -73,17 +73,6 @@ class ClampBounds:
         return self.upper - self.lower
 
 
-def clamp(x: float, bounds: ClampBounds) -> float:
-    """Clamp a scalar into [lower, upper]. NaN is rejected, not clamped."""
-    if math.isnan(x):
-        raise InvalidValue("cannot clamp NaN")
-    if x < bounds.lower:
-        return bounds.lower
-    if x > bounds.upper:
-        return bounds.upper
-    return float(x)
-
-
 def mean_sensitivity(bounds: ClampBounds, n: int) -> float:
     """Global sensitivity of the clamped mean of n records.
 
@@ -125,7 +114,8 @@ def gaussian_sigma(sensitivity: float, params: PrivacyParams) -> float:
 def dp_mean(values: Sequence[float], bounds: ClampBounds, epsilon: float, rng: RandomSource) -> float:
     """Laplace release of the clamped mean.
 
-    release = (sum of clamp(x_i)) / n + Lap((upper - lower) / (n * epsilon)).
+    release = (sum of clamped x_i) / n + Lap((upper - lower) / (n * epsilon)).
+    Each x_i is clamped into [lower, upper]; NaN is refused, not clamped.
     """
     n = len(values)
     if n == 0:
@@ -201,14 +191,6 @@ class AccountLedger:
     def spent(self) -> PrivacyParams:
         return PrivacyParams(*map(math.fsum, self._totals))
 
-    @property
-    def remaining(self) -> PrivacyParams:
-        s = self.spent
-        return PrivacyParams(
-            max(0.0, self.budget.epsilon - s.epsilon),
-            max(0.0, self.budget.delta - s.delta),
-        )
-
     def report(self) -> str:
         """Human-readable table of entries and totals."""
         rows = [*self.entries, ("spent", self.spent), ("budget", self.budget)]
@@ -246,8 +228,6 @@ class ProbeReport:
 
     max_ratio: float
     violated_mass: float
-    n_samples: int
-    n_bins: int
 
 
 def _check_adjacent(d: Sequence[float], d_adj: Sequence[float]) -> None:
@@ -271,7 +251,6 @@ def distinguishability_probe(
     n_samples: int,
     n_bins: int,
     rng: RandomSource,
-    min_bin_count: int | None = None,
 ) -> ProbeReport:
     """Estimate how distinguishable M(D) and M(D') are from samples.
 
@@ -280,19 +259,17 @@ def distinguishability_probe(
     union of supports, and checks the per-bin DP inequality with the delta
     mass split evenly across bins. ``max_ratio`` is the largest observed
     p_hat / (q_hat + delta / n_bins) over bins holding at least
-    ``min_bin_count`` numerator samples (default n_samples // 100, which
-    keeps the relative sampling error of the ratio under roughly ten
-    percent); in sparser bins the ratio estimate is dominated by noise,
-    so they are screened instead by ``violated_mass``, the total p-mass
-    of bins violating the per-bin inequality. A NaN or infinite sample
+    n_samples // 100 numerator samples, which keeps the relative sampling
+    error of the ratio under roughly ten percent; in sparser bins the
+    ratio estimate is dominated by noise, so they are screened instead by
+    ``violated_mass``, the total p-mass of bins violating the per-bin
+    inequality. A NaN or infinite sample
     has no bin and is refused with InvalidValue.
     """
     if n_samples < 100_000:
         raise InvalidValue("probe needs at least 1e5 samples per dataset")
     if n_bins < 2:
         raise InvalidValue("probe needs at least 2 bins")
-    if min_bin_count is None:
-        min_bin_count = n_samples // 100
     _check_adjacent(d, d_adjacent)
 
     n = n_samples
@@ -311,7 +288,7 @@ def distinguishability_probe(
     q = counts_a / n_samples
     floor = params.delta / n_bins
 
-    dense = counts_d >= min_bin_count
+    dense = counts_d >= n_samples // 100
     # a dense numerator bin with an empty (and unfloored) denominator is an
     # honest violation, not a numeric accident: its ratio is infinite
     ratios = np.zeros(n_bins)
@@ -321,4 +298,4 @@ def distinguishability_probe(
 
     violated = p > math.exp(params.epsilon) * q + floor
     violated_mass = float(p[violated].sum())
-    return ProbeReport(max_ratio=max_ratio, violated_mass=violated_mass, n_samples=n_samples, n_bins=n_bins)
+    return ProbeReport(max_ratio=max_ratio, violated_mass=violated_mass)

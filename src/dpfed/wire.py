@@ -64,8 +64,19 @@ class Hello:
     protocol_version: int = PROTOCOL_VERSION
 
 
+class _Framed:
+    """A message that holds an array. Two are equal when they are of one
+    type and encode to the same frame, so equality is bitwise: a zero's
+    sign counts, and NaN payloads compare by their bits."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return encode(self) == encode(other)
+
+
 @dataclass(eq=False)
-class Init:
+class Init(_Framed):
     """Session start: model shape, step count, learning rate, and either
     an init seed or explicit parameters. Holds every rule a session must
     meet, so both ends refuse the same sessions."""
@@ -94,26 +105,9 @@ class Init:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise InvalidValue("learning rate must be finite and positive")
 
-    def __eq__(self, other):
-        if not isinstance(other, Init):
-            return NotImplemented
-        if (self.parameters is None) != (other.parameters is None):
-            return False
-        params_equal = (
-            self.parameters is None
-            or np.array_equal(self.parameters, other.parameters)
-        )
-        return (
-            self.dims == other.dims
-            and self.total_steps == other.total_steps
-            and self.learning_rate == other.learning_rate
-            and self.seed == other.seed
-            and params_equal
-        )
-
 
 @dataclass(eq=False)
-class Grad:
+class Grad(_Framed):
     """One worker's private release for one step, and what it spent."""
 
     step_id: int
@@ -123,28 +117,14 @@ class Grad:
     def __post_init__(self):
         self.vector = np.asarray(self.vector, dtype=np.float64)
 
-    def __eq__(self, other):
-        if not isinstance(other, Grad):
-            return NotImplemented
-        return (
-            self.step_id == other.step_id
-            and np.array_equal(self.vector, other.vector)
-            and self.spent == other.spent
-        )
-
 
 @dataclass(eq=False)
-class Avg:
+class Avg(_Framed):
     step_id: int
     vector: np.ndarray
 
     def __post_init__(self):
         self.vector = np.asarray(self.vector, dtype=np.float64)
-
-    def __eq__(self, other):
-        if not isinstance(other, Avg):
-            return NotImplemented
-        return self.step_id == other.step_id and np.array_equal(self.vector, other.vector)
 
 
 @dataclass(frozen=True)

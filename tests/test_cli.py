@@ -1,5 +1,6 @@
 import math
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -9,10 +10,11 @@ import pytest
 
 import dpfed.cli
 from dpfed.cli import main
-from dpfed.federation import Coordinator, SessionConfig
+from dpfed.federation import Coordinator, MessageStream, SessionConfig
 from dpfed.network import Network, NetworkDims, init_network
 from dpfed.privacy import PrivacyParams
 from dpfed.rng import RandomSource
+from dpfed.wire import MAGIC, TAG_AVG, Grad, Hello, Init, encode
 
 SPEC = """\
 feature_dim=5
@@ -248,6 +250,88 @@ def test_coordinator_bind_failure_is_transport_error(tmp_path, corpus):
     finally:
         blocker.close()
     assert code == 3
+
+
+def _exit_codes(*procs):
+    """Each process's exit code. One that outlives its 30 s is killed and
+    fails the test, so no process outlives a case."""
+    try:
+        for proc in procs:
+            proc.communicate(timeout=30)
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+    return [proc.returncode for proc in procs]
+
+
+def _spawn_coordinator(workers):
+    coord = _spawn("coordinator", "--listen", "127.0.0.1:0", "--workers", str(workers), "--steps", "3",
+                   "--seed", "3", "--input-dim", "5", "--hidden", "6", "--classes", "6", "--timeout", "2")
+    host, port = coord.stdout.readline().strip().rsplit(" ", 1)[1].rsplit(":", 1)
+    return coord, (host, int(port))
+
+
+def _spawn_worker(corpus, host, port):
+    return _spawn("worker", "--connect", f"{host}:{port}", "--data", str(corpus), "--worker-id", "0",
+                  "--budget-eps", "10", "--budget-delta", "0.1", "--noisy", "false",
+                  "--seed", "1", "--timeout", "2")
+
+
+def test_worker_gone_after_init_is_protocol_exit_on_both_sides(corpus):
+    # a raw socket says HELLO and hangs up after INIT, as a killed worker would
+    coord, address = _spawn_coordinator(2)
+    procs = [coord]
+    try:
+        procs.append(_spawn_worker(corpus, *address))
+        with socket.create_connection(address, timeout=10.0) as sock:
+            sock.sendall(encode(Hello(1)))
+            assert isinstance(MessageStream(sock).recv()[0], Init)
+    finally:
+        codes = _exit_codes(*procs)
+    assert codes == [4, 4]
+
+
+def test_peer_without_hello_is_transport_exit():
+    coord, address = _spawn_coordinator(1)
+    try:
+        with socket.create_connection(address, timeout=10.0):  # connected, never speaks
+            coord.wait(timeout=30)
+    finally:
+        codes = _exit_codes(coord)
+    assert codes == [3]
+
+
+@pytest.mark.parametrize("last_words", [b"", MAGIC + struct.pack("<BI", TAG_AVG, 2**31)],
+                         ids=["vanishes", "oversized-avg"])
+def test_coordinator_gone_after_first_release_is_protocol_exit(corpus, last_words):
+    # a scripted coordinator sends INIT, reads GRAD 0, then hangs up, or
+    # first declares an AVG far larger than the model
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10.0)
+    box = {}
+
+    def fake_coordinator():
+        conn, _ = listener.accept()
+        with conn:
+            conn.settimeout(10.0)
+            stream = MessageStream(conn)
+            stream.recv()  # HELLO
+            stream.send(Init(NetworkDims(5, 6, 6), total_steps=3, learning_rate=0.05, seed=7))
+            box["grad"], _ = stream.recv()
+            conn.sendall(last_words)
+
+    thread = threading.Thread(target=fake_coordinator)
+    thread.start()
+    try:
+        codes = _exit_codes(_spawn_worker(corpus, *listener.getsockname()[:2]))
+    finally:
+        thread.join(timeout=30)
+        listener.close()
+    assert not thread.is_alive()
+    assert isinstance(box["grad"], Grad)
+    assert codes == [4]
 
 
 def test_eval_self_gap_is_zero(corpus, tmp_path, capsys):

@@ -1,13 +1,17 @@
+import random
 import re
 import socket
 import struct
 import threading
 import time
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from dpfed import federation
 from dpfed.data import SynthSpec, synth_generate
 from dpfed.dpsgd import BatchSampler, DpSgdConfig, per_example_gradients
 from dpfed.errors import DecodeError, DpFedError, InvalidValue, ProtocolError, TimedOut
@@ -29,8 +33,10 @@ from dpfed.wire import (
     ABORT_DECODE,
     ABORT_PROTOCOL,
     ABORT_TIMEOUT,
+    GRAD_HEADER_LEN,
     HEADER_LEN,
     MAGIC,
+    TAG_AVG,
     TAG_GRAD,
     Abort,
     Avg,
@@ -40,6 +46,7 @@ from dpfed.wire import (
     abort_name,
     encode,
 )
+from test_wire import mutate_frame
 
 DIMS = NetworkDims(3, 4, 5)
 
@@ -110,15 +117,10 @@ def run_tcp(cfg, specs):
 
 
 def test_average_releases_order_and_checks():
+    # _charge_grad checks step and length: the wrong-step and short bad-frame cases
     mk = lambda step, vec: Grad(step, np.array(vec), PrivacyParams(0.0, 0.0))
     avg = average_releases([mk(0, [1.0, 2.0]), mk(0, [3.0, 4.0])])
     assert np.array_equal(avg, np.array([2.0, 3.0]))
-    with pytest.raises(ProtocolError):
-        average_releases([mk(0, [1.0]), mk(1, [1.0])])
-    with pytest.raises(ProtocolError):
-        average_releases([mk(0, [1.0]), mk(0, [1.0, 2.0])])
-    with pytest.raises(InvalidValue):
-        average_releases([])
 
 
 def test_session_config_validation():
@@ -612,3 +614,109 @@ def test_worker_refuses_bad_init_before_releasing(learning_rate):
     assert not thread.is_alive()
     assert isinstance(box["hello"], Hello)
     assert box["after"] == b""  # no GRAD was sent
+
+
+def test_worker_refuses_oversized_frame_after_init():
+    # a scripted coordinator declares a 2 GiB AVG after the first release and
+    # streams 8 MiB of it; the worker must refuse the frame from its header
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10.0)
+    body = memoryview(bytes(8 << 20))  # allocated before tracing starts
+    box = {}
+
+    def fake_coordinator():
+        conn, _ = listener.accept()
+        with conn:
+            conn.settimeout(10.0)
+            stream = MessageStream(conn)
+            stream.recv()  # HELLO
+            stream.send(Init(DIMS, total_steps=3, learning_rate=0.05, seed=7))
+            box["grad"], _ = stream.recv()
+            try:
+                conn.sendall(MAGIC + struct.pack("<BI", TAG_AVG, 2**31))
+                conn.sendall(body)
+            except OSError:
+                pass  # the worker hung up on the header
+
+    spec = make_spec(0)
+    "127.0.0.1".encode("idna")  # the codec a first connect imports is not the worker's memory
+    thread = threading.Thread(target=fake_coordinator)
+    thread.start()
+    tracemalloc.start()
+    try:
+        result = worker_run(listener.getsockname()[:2], spec, timeout=10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        thread.join(timeout=30)
+        listener.close()
+    assert not thread.is_alive()
+    assert isinstance(box["grad"], Grad)
+    assert result.aborted == ABORT_DECODE
+    assert result.steps_completed == 0
+    assert peak < 4 * MessageStream._CHUNK, peak
+
+
+class _MutatingLink(federation._LocalLink):
+    """An in-memory worker link whose GRAD for step ``k`` reaches the
+    coordinator mutated by ``rng``, read by a MessageStream with the
+    coordinator's cap from a socket that closes after those bytes.
+    ``delivered`` is what that read gave the coordinator, None if it raised."""
+
+    def __init__(self, replica, k, rng):
+        super().__init__(replica)
+        self._k, self._rng = k, rng
+        self.delivered = None
+
+    def recv(self):
+        msg, size = super().recv()
+        if not (isinstance(msg, Grad) and msg.step_id == self._k):
+            return msg, size
+        writer, reader = socket.socketpair()
+        with writer:
+            writer.sendall(mutate_frame(encode(msg), self._rng))
+        reader.settimeout(5.0)
+        stream = MessageStream(reader, GRAD_HEADER_LEN + 8 * DIMS.parameter_count)
+        try:
+            self.delivered, size = stream.recv()
+            return self.delivered, size
+        finally:
+            stream.close()
+
+
+def test_one_mutated_grad_ends_session_cleanly_or_in_abort(monkeypatch):
+    # worker 1 of 3 sends one corrupted GRAD at a random step k, the last:
+    # the session ends cleanly, or at step k with the code that fits what
+    # arrived (a later step would only show what an accepted GRAD does to
+    # the model)
+    specs = [make_spec(w) for w in range(3)]
+    rng = random.Random(77)
+    local_link = federation._LocalLink
+    case = {}
+
+    def link(replica):
+        if replica.worker_id != 1:
+            return local_link(replica)
+        case["link"] = _MutatingLink(replica, case["k"], rng)
+        return case["link"]
+
+    monkeypatch.setattr(federation, "_LocalLink", link)
+    outcomes = Counter()
+    for _ in range(300):
+        case["k"] = k = rng.randrange(4)
+        result = inproc_session(session_cfg(3, k + 1), specs)
+        summary, delivered = result.summary, case["link"].delivered
+        outcomes[summary.aborted] += 1
+        assert [len(result.ledgers[wid].entries) for wid in (0, 2)] == [k + 1, k + 1]
+        if summary.clean:
+            assert summary.steps_completed == k + 1
+            assert isinstance(delivered, Grad) and delivered.step_id == k
+            continue
+        assert summary.steps_completed == k
+        if delivered is None:
+            assert summary.aborted == ABORT_DECODE
+        elif isinstance(delivered, Abort):
+            assert summary.aborted == delivered.code
+        else:
+            assert summary.aborted == ABORT_PROTOCOL
+    assert {None, ABORT_DECODE, ABORT_PROTOCOL} <= set(outcomes), outcomes

@@ -1,4 +1,6 @@
+import random
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -168,3 +170,67 @@ def test_grad_preserves_exact_floats():
     vec = np.array([0.1, -1.0 / 3.0, 1e-300, 123456.789])
     back = decode(encode(Grad(2, vec, PrivacyParams(0.0, 0.0))))
     assert back.vector.tolist() == vec.tolist()
+
+
+def test_messages_are_equal_when_their_frames_are():
+    # 0.0 and -0.0 compare equal as floats but are different frames
+    dims = NetworkDims(1, 1, 1)
+    spent = PrivacyParams(0.5, 1e-6)
+    for build in (
+        lambda zero: Grad(0, [zero], spent),
+        lambda zero: Avg(0, [zero]),
+        lambda zero: Init(dims, 1, 0.1, parameters=np.full(dims.parameter_count, zero)),
+    ):
+        assert build(0.0) == build(0.0)
+        assert build(0.0) != build(-0.0)
+    assert Grad(0, [1.0], spent) != Avg(0, [1.0])
+
+
+def mutate_frame(frame: bytes, rng: random.Random) -> bytes:
+    """One to three seeded corruptions of a frame: flipped bits, a cut,
+    appended bytes, a rewritten length field or overwritten bytes. Half
+    the positions fall in the first 48 bytes, where the fixed fields are."""
+    b = bytearray(frame)
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(5)
+        i = rng.randrange(min(len(b), 48) if rng.random() < 0.5 else len(b)) if b else 0
+        if kind == 0 and b:
+            b[i] ^= 1 << rng.randrange(8)
+        elif kind == 1:
+            del b[i:]
+        elif kind == 2:
+            b += rng.randbytes(rng.randint(1, 16))
+        elif kind == 3 and len(b) >= HEADER_LEN:
+            near = len(b) - HEADER_LEN + rng.randint(-9, 9)
+            struct.pack_into("<I", b, 5, rng.choice([max(near, 0), 0, rng.getrandbits(32)]))
+        elif kind == 4:
+            b[i : i + 8] = rng.randbytes(len(b[i : i + 8]))
+    return bytes(b)
+
+
+def test_mutated_frames_decode_to_themselves_or_raise():
+    # whatever a peer sends is refused or is exactly one message: a frame
+    # that decodes re-encodes to its own bytes, so frame equality is sound
+    r = RandomSource(12)
+    dims = NetworkDims(2, 2, 2)
+    frames = [encode(m) for m in (
+        Hello(3),
+        Init(dims, 10, 0.01, seed=7),
+        Init(dims, 10, 0.01, parameters=r.normals(dims.parameter_count)),
+        Grad(4, r.normals(5), PrivacyParams(0.5, 1e-6)),
+        Avg(4, r.normals(5)),
+        Done(9),
+        Abort(2, "timed out ✓"),
+    )]
+    rng = random.Random(2026)
+    outcomes = Counter()
+    for _ in range(20_000):
+        frame = mutate_frame(rng.choice(frames), rng)
+        try:
+            msg = decode(frame)
+        except DecodeError:
+            outcomes["refused"] += 1
+            continue
+        assert encode(msg) == frame
+        outcomes[type(msg).__name__] += 1
+    assert set(outcomes) == {"refused", "Hello", "Init", "Grad", "Avg", "Done", "Abort"}, outcomes
