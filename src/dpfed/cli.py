@@ -37,10 +37,10 @@ from .errors import (
     BudgetExceeded,
     DecodeError,
     DpFedError,
+    InvalidValue,
     ProtocolError,
     TimedOut,
     TransportError,
-    UsageError,
 )
 from .evaluation import accuracy, cross_evaluate, membership_gap
 from .federation import (
@@ -154,21 +154,21 @@ def _read_kv(path: str, parsers: dict[str, Callable[[str], object]]) -> dict[str
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
+        raise InvalidValue(f"cannot read config {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise InvalidValue(f"{path}:{lineno}: expected key=value, got {line!r}")
         key = key.strip()
         if key not in parsers:
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+            raise InvalidValue(f"{path}:{lineno}: unknown key {key!r}")
         try:
             values[key] = parsers[key](value.strip())
         except argparse.ArgumentTypeError as exc:
-            raise UsageError(f"{path}:{lineno}: {key}: {exc}") from None
+            raise InvalidValue(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
@@ -183,7 +183,7 @@ def _settings(ns, path: str | None, *required: str):
         if key in values:
             setattr(ns, dest, values[key])
         elif key in required:
-            raise UsageError(f"missing required setting {key} (flag or config)")
+            raise InvalidValue(f"missing required setting {key} (flag or config)")
         else:
             setattr(ns, dest, None if default is None else parse(default))
     return ns
@@ -228,7 +228,7 @@ def cmd_synth(args) -> int:
     values = _read_kv(args.spec, SYNTH_KEYS) if args.spec else {}
     speaker, multiplier = values.pop("outlier.speaker", None), values.pop("outlier.multiplier", None)
     if (speaker is None) != (multiplier is None):
-        raise UsageError("outlier.speaker and outlier.multiplier go together")
+        raise InvalidValue("outlier.speaker and outlier.multiplier go together")
     outlier = None if speaker is None else OutlierSpec(speaker, multiplier)
     spec = SynthSpec(**values, outlier=outlier)
     dataset = synth_generate(spec, RandomSource(args.seed))
@@ -259,7 +259,7 @@ def cmd_warm_start(args) -> int:
     _settings(args, args.config, "seed", "data.path")
     dataset = read_dataset(args.data)
     if dataset.n_sequences == 0:
-        raise UsageError("dataset has no sequences to train on")
+        raise InvalidValue("dataset has no sequences to train on")
     root = RandomSource(args.seed)
     if args.init_model:
         net = Network.load(args.init_model)
@@ -334,7 +334,7 @@ def cmd_simulate(args) -> int:
     feature_dims = {ds.feature_dim for ds in datasets}
     class_counts = {ds.num_classes for ds in datasets}
     if len(feature_dims) != 1 or len(class_counts) != 1:
-        raise UsageError("worker datasets disagree on feature_dim or classes")
+        raise InvalidValue("worker datasets disagree on feature_dim or classes")
     root = RandomSource(args.seed)
     specs = []
     for wid, w in enumerate(workers):
@@ -377,7 +377,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_eval(args) -> int:
     if (args.baseline is None) != (args.probe_speaker is None):
-        raise UsageError("--baseline and --probe-speaker go together")
+        raise InvalidValue("--baseline and --probe-speaker go together")
     net = Network.load(args.model)
     dataset = read_dataset(args.data)
     print(accuracy(net, dataset).render_text())
@@ -500,10 +500,7 @@ def main(argv=None) -> int:
     except (TransportError, TimedOut) as exc:
         print(f"dpfed: transport failure: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
-    except DpFedError as exc:
-        print(f"dpfed: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (DpFedError, OSError) as exc:
         print(f"dpfed: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyDataset, FormatError, InvalidFraction, InvalidValue, LabelError, ShapeError
+from .errors import InvalidValue
 from .rng import RandomSource
 
 DATA_MAGIC = b"SENO0001"
@@ -34,15 +34,15 @@ class FeatureSequence:
         if self.speaker_id < 0:
             raise InvalidValue(f"speaker id must be >= 0, got {self.speaker_id}")
         if self.frames.ndim != 2 or self.frames.shape[0] < 1:
-            raise ShapeError(f"frames must be (T >= 1, dim), got {self.frames.shape}")
+            raise InvalidValue(f"frames must be (T >= 1, dim), got {self.frames.shape}")
         if not np.all(np.isfinite(self.frames)):
             raise InvalidValue("frames must be finite")
         if self.labels.shape != (self.frames.shape[0],):
-            raise ShapeError("need exactly one label per frame")
+            raise InvalidValue("need exactly one label per frame")
         if not np.issubdtype(self.labels.dtype, np.integer):
-            raise LabelError(f"labels must be integers, got {self.labels.dtype}")
+            raise InvalidValue(f"labels must be integers, got {self.labels.dtype}")
         if self.labels.min() < 0:
-            raise LabelError("labels must be >= 0")
+            raise InvalidValue("labels must be >= 0")
 
     @property
     def n_frames(self) -> int:
@@ -62,11 +62,11 @@ class Dataset:
             raise InvalidValue("feature_dim and num_classes must be positive")
         for seq in self.sequences:
             if seq.frames.shape[1] != self.feature_dim:
-                raise ShapeError(
+                raise InvalidValue(
                     f"sequence has dim {seq.frames.shape[1]}, dataset has {self.feature_dim}"
                 )
             if seq.labels.max() >= self.num_classes:
-                raise LabelError(f"label out of range for {self.num_classes} classes")
+                raise InvalidValue(f"label out of range for {self.num_classes} classes")
 
     @property
     def n_sequences(self) -> int:
@@ -154,11 +154,16 @@ def synth_generate(spec: SynthSpec, rng: RandomSource) -> Dataset:
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Serialize to SENO0001. Frames are narrowed to float32."""
+    """Serialize to SENO0001. Frames are narrowed to float32; one that overflows
+    float32, which ``read_dataset`` would refuse, is refused before any byte is written."""
     parts = [DATA_MAGIC, struct.pack("<III", dataset.feature_dim, dataset.num_classes, dataset.n_sequences)]
-    for seq in dataset.sequences:
+    for i, seq in enumerate(dataset.sequences):
+        with np.errstate(over="ignore"):
+            frames = seq.frames.astype("<f4")
+        if not np.all(np.isfinite(frames)):
+            raise InvalidValue(f"sequence {i} has frames outside the float32 range")
         parts.append(struct.pack("<II", seq.speaker_id, seq.n_frames))
-        parts.append(seq.frames.astype("<f4").tobytes())
+        parts.append(frames.tobytes())
         parts.append(seq.labels.astype("<u4").tobytes())
     Path(path).write_bytes(b"".join(parts))
 
@@ -167,35 +172,37 @@ def read_dataset(path: str | Path) -> Dataset:
     """Parse a SENO0001 file; frames come back as float64."""
     data = Path(path).read_bytes()
     if len(data) < 20:
-        raise FormatError("dataset file truncated before header")
+        raise InvalidValue("dataset file truncated before header")
     if data[:8] != DATA_MAGIC:
-        raise FormatError(f"bad dataset magic {data[:8]!r}")
+        raise InvalidValue(f"bad dataset magic {data[:8]!r}")
     dim, classes, n_seq = struct.unpack("<III", data[8:20])
     if dim < 1 or classes < 1:
-        raise FormatError("header dims must be positive")
+        raise InvalidValue("header dims must be positive")
     off = 20
     sequences: list[FeatureSequence] = []
     for i in range(n_seq):
         if off + 8 > len(data):
-            raise FormatError(f"truncated at sequence {i} header")
+            raise InvalidValue(f"truncated at sequence {i} header")
         speaker, t = struct.unpack("<II", data[off : off + 8])
         off += 8
         if t < 1:
-            raise FormatError(f"sequence {i} has no frames")
+            raise InvalidValue(f"sequence {i} has no frames")
         frame_bytes = 4 * t * dim
         if off + frame_bytes + 4 * t > len(data):
-            raise FormatError(f"truncated inside sequence {i}")
-        frames = np.frombuffer(data, dtype="<f4", offset=off, count=t * dim).astype(np.float64).reshape(t, dim)
+            raise InvalidValue(f"truncated inside sequence {i}")
+        raw = np.frombuffer(data, dtype="<f4", offset=off, count=t * dim)
+        # checked in float32: widening a signaling NaN would warn first
+        if not np.all(np.isfinite(raw)):
+            raise InvalidValue(f"sequence {i} has non-finite frames")
+        frames = raw.astype(np.float64).reshape(t, dim)
         off += frame_bytes
         labels = np.frombuffer(data, dtype="<u4", offset=off, count=t).astype(np.int64)
         off += 4 * t
-        if not np.all(np.isfinite(frames)):
-            raise FormatError(f"sequence {i} has non-finite frames")
         if labels.max() >= classes:
-            raise FormatError(f"sequence {i} has a label out of range")
+            raise InvalidValue(f"sequence {i} has a label out of range")
         sequences.append(FeatureSequence(speaker_id=speaker, frames=frames, labels=labels))
     if off != len(data):
-        raise FormatError(f"{len(data) - off} trailing bytes after last sequence")
+        raise InvalidValue(f"{len(data) - off} trailing bytes after last sequence")
     return Dataset(feature_dim=dim, num_classes=classes, sequences=tuple(sequences))
 
 
@@ -208,9 +215,9 @@ def split(dataset: Dataset, test_fraction: float, rng: RandomSource) -> tuple[Da
     rounding empties one side entirely, one sequence is moved over.
     """
     if not 0.0 < test_fraction < 1.0:
-        raise InvalidFraction(f"test fraction must lie in (0, 1), got {test_fraction}")
+        raise InvalidValue(f"test fraction must lie in (0, 1), got {test_fraction}")
     if dataset.n_sequences < 2:
-        raise EmptyDataset("split needs at least 2 sequences")
+        raise InvalidValue("split needs at least 2 sequences")
 
     by_speaker: dict[int, list[int]] = {}
     for idx, seq in enumerate(dataset.sequences):
@@ -242,17 +249,17 @@ def filter_speakers(dataset: Dataset, speaker_ids: Iterable[int]) -> Dataset:
     wanted = set(speaker_ids)
     seqs = tuple(s for s in dataset.sequences if s.speaker_id in wanted)
     if not seqs:
-        raise EmptyDataset(f"no sequences for speakers {sorted(wanted)}")
+        raise InvalidValue(f"no sequences for speakers {sorted(wanted)}")
     return Dataset(dataset.feature_dim, dataset.num_classes, seqs)
 
 
 def merge(datasets: Sequence[Dataset]) -> Dataset:
     """Concatenation of datasets with identical dim and class alphabet."""
     if not datasets:
-        raise EmptyDataset("merge needs at least one dataset")
+        raise InvalidValue("merge needs at least one dataset")
     first = datasets[0]
     for d in datasets[1:]:
         if d.feature_dim != first.feature_dim or d.num_classes != first.num_classes:
-            raise ShapeError("merged datasets must share dim and num_classes")
+            raise InvalidValue("merged datasets must share dim and num_classes")
     seqs = tuple(s for d in datasets for s in d.sequences)
     return Dataset(first.feature_dim, first.num_classes, seqs)

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyDataset, InvalidGradient, InvalidValue, ShapeError
+from .errors import InvalidValue
 from .network import Network, apply_update, per_example_gradients
 from .privacy import ZERO_SPEND, AccountLedger, PrivacyParams, compose, gaussian_sigma
 from .rng import RandomSource
@@ -80,7 +80,7 @@ def l2_clip(grad: np.ndarray, clip_bound: float) -> np.ndarray:
         raise InvalidValue(f"clip bound must be finite and positive, got {clip_bound}")
     g = np.asarray(grad, dtype=np.float64)
     if not np.all(np.isfinite(g)):
-        raise InvalidGradient("gradient contains NaN or infinite entries")
+        raise InvalidValue("gradient contains NaN or infinite entries")
     norm = float(np.linalg.norm(g))
     if norm <= clip_bound:
         return g
@@ -110,13 +110,13 @@ def dp_gradient_release(
     escapes.
     """
     if len(per_example) == 0:
-        raise EmptyDataset("release needs at least one gradient")
+        raise InvalidValue("release needs at least one gradient")
     n = len(per_example[0])
     clipped = []
     for g in per_example:
         c = l2_clip(g, cfg.clip_bound)
         if len(c) != n:
-            raise ShapeError("per-example gradients must all have the same length")
+            raise InvalidValue("per-example gradients must all have the same length")
         clipped.append(c)
     acc = fixed_order_mean(clipped)
 
@@ -149,7 +149,7 @@ class BatchSampler:
 
     def __init__(self, sequences: Sequence, batch_size: int, rng: RandomSource):
         if len(sequences) == 0:
-            raise EmptyDataset("sampler needs at least one sequence")
+            raise InvalidValue("sampler needs at least one sequence")
         if batch_size < 1:
             raise InvalidValue("batch size must be positive")
         self._sequences = list(sequences)

@@ -1,77 +1,34 @@
 """Exception types shared across the package.
 
-Every failure mode callers are expected to handle gets its own class so
-tests and the CLI can match on type rather than message text.
+A class exists only where dpfed code reacts to it differently: with a
+CLI exit code, an ABORT code, or a re-raise as another class. Every other
+refusal is ``InvalidValue``, and tests match on its message.
 """
 
 
 class DpFedError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors: CLI exit 2; a worker answers it with ABORT_PROTOCOL."""
 
 
 class InvalidValue(DpFedError):
-    """A numeric argument is out of range, non-finite, or NaN."""
-
-
-class InvalidScale(DpFedError):
-    """A noise scale is zero, negative, or non-finite."""
-
-
-class InvalidFraction(DpFedError):
-    """A fraction argument is outside the open interval (0, 1)."""
-
-
-class EmptyDataset(DpFedError):
-    """An operation requires at least one record or sequence."""
-
-
-class GaussianRequiresDelta(DpFedError):
-    """The Gaussian mechanism was asked to run with delta = 0."""
+    """A bad value, shape, label, config line or file; ``wire`` re-raises it from INIT or GRAD as DecodeError."""
 
 
 class BudgetExceeded(DpFedError):
-    """Composing a step would push spend past the privacy budget."""
-
-
-class NotAdjacent(DpFedError):
-    """Two datasets offered as neighbours differ in more than one record."""
-
-
-class ShapeError(DpFedError):
-    """Array dimensions do not match what the operation expects."""
-
-
-class LabelError(DpFedError):
-    """A class label lies outside [0, num_classes)."""
-
-
-class CacheError(DpFedError):
-    """A forward cache was produced by a different network."""
-
-
-class InvalidGradient(DpFedError):
-    """A gradient vector contains NaN or infinite entries."""
-
-
-class FormatError(DpFedError):
-    """A file does not conform to its binary format."""
+    """Composing a step would push spend past the privacy budget: exit 5, ABORT_BUDGET."""
 
 
 class ProtocolError(DpFedError):
-    """A peer sent a message that violates the session protocol."""
+    """A peer sent a message that violates the session protocol: exit 4, ABORT_PROTOCOL."""
 
 
 class DecodeError(DpFedError):
-    """A byte frame cannot be decoded as a protocol message."""
+    """A byte frame cannot be decoded as a protocol message: exit 4, ABORT_DECODE."""
 
 
 class TransportError(DpFedError):
-    """A socket could not be set up or a connection failed."""
+    """A socket could not be set up or a connection failed: exit 3, ABORT_DECODE."""
 
 
 class TimedOut(DpFedError):
-    """A peer did not respond within the session timeout."""
-
-
-class UsageError(DpFedError):
-    """Bad command-line arguments or config file contents."""
+    """A peer did not respond within the session timeout: exit 3, ABORT_TIMEOUT."""

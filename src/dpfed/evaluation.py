@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset
-from .errors import EmptyDataset, ShapeError
+from .errors import InvalidValue
 from .network import Network, forward
 
 LEAK_THRESHOLD_POINTS = 5.0
@@ -69,9 +69,9 @@ def accuracy(net: Network, dataset: Dataset) -> EvalReport:
     its batch, so the chunk size changes memory and speed, never a count.
     """
     if dataset.n_sequences == 0:
-        raise EmptyDataset("cannot evaluate on an empty dataset")
+        raise InvalidValue("cannot evaluate on an empty dataset")
     if dataset.feature_dim != net.dims.input_dim:
-        raise ShapeError(
+        raise InvalidValue(
             f"dataset dim {dataset.feature_dim} does not match model input {net.dims.input_dim}"
         )
     by_length: dict[int, list] = {}

@@ -46,7 +46,6 @@ from .wire import (
     ABORT_DECODE,
     ABORT_PROTOCOL,
     ABORT_TIMEOUT,
-    GRAD_HEADER_LEN,
     HEADER_LEN,
     PROTOCOL_VERSION,
     Abort,
@@ -57,8 +56,10 @@ from .wire import (
     Init,
     Message,
     abort_name,
+    avg_payload_size,
     decode,
     encode,
+    grad_payload_size,
     payload_length,
 )
 
@@ -495,7 +496,7 @@ class Coordinator:
                     raise TimedOut(f"only {len(links)} of {cfg.n_workers} workers connected") from exc
                 conn.settimeout(cfg.timeout)
                 # no legal worker frame is larger than a full GRAD
-                streams.append(MessageStream(conn, GRAD_HEADER_LEN + 8 * cfg.dims.parameter_count))
+                streams.append(MessageStream(conn, grad_payload_size(cfg.dims)))
                 _admit(streams[-1], streams[-1].recv(deadline), links, self.transcript)
         except DpFedError as exc:
             # tell the workers already admitted why no INIT will come
@@ -561,7 +562,7 @@ def worker_run(
             raise ProtocolError(f"expected INIT, got {got}")
         # no later coordinator frame is larger than a full AVG; the floor
         # leaves room for any ABORT reason
-        stream.max_payload = max(8 + 8 * msg.dims.parameter_count, MessageStream._CHUNK)
+        stream.max_payload = max(avg_payload_size(msg.dims), MessageStream._CHUNK)
         total = msg.total_steps
         while not (isinstance(msg, Abort) or isinstance(msg, Done) and replica.steps_completed == total):
             answer = replica.reply(msg)

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
-from .errors import CacheError, EmptyDataset, FormatError, InvalidValue, LabelError, ShapeError
+from .errors import InvalidValue
 from .rng import RandomSource
 
 MODEL_MAGIC = b"FDPNET01"
@@ -69,7 +69,7 @@ class Network:
         for name, shape in expected.items():
             arr = getattr(self, name)
             if arr.shape != shape or arr.dtype != np.float64:
-                raise ShapeError(f"{name} must be float64 with shape {shape}, got {arr.dtype} {arr.shape}")
+                raise InvalidValue(f"{name} must be float64 with shape {shape}, got {arr.dtype} {arr.shape}")
 
     @property
     def parameter_count(self) -> int:
@@ -84,7 +84,7 @@ class Network:
     def from_flat(cls, dims: NetworkDims, flat: np.ndarray) -> "Network":
         flat = np.asarray(flat, dtype=np.float64)
         if flat.shape != (dims.parameter_count,):
-            raise ShapeError(f"expected {dims.parameter_count} parameters, got shape {flat.shape}")
+            raise InvalidValue(f"expected {dims.parameter_count} parameters, got shape {flat.shape}")
         d, h, o = dims.input_dim, dims.hidden_dim, dims.output_dim
         sizes = [4 * h * d, 4 * h * h, 4 * h, o * h, o]
         offsets = np.cumsum([0] + sizes)
@@ -106,17 +106,14 @@ class Network:
     @classmethod
     def from_bytes(cls, data: bytes) -> "Network":
         if len(data) < 20:
-            raise FormatError("model file truncated before header")
+            raise InvalidValue("model file truncated before header")
         if data[:8] != MODEL_MAGIC:
-            raise FormatError(f"bad model magic {data[:8]!r}")
+            raise InvalidValue(f"bad model magic {data[:8]!r}")
         d, h, o = struct.unpack("<III", data[8:20])
-        try:
-            dims = NetworkDims(d, h, o)
-        except InvalidValue as exc:
-            raise FormatError(f"bad dims in model header: {exc}") from exc
+        dims = NetworkDims(d, h, o)
         n = dims.parameter_count
         if len(data) != 20 + 8 * n:
-            raise FormatError(f"expected {20 + 8 * n} bytes for dims {d}x{h}x{o}, got {len(data)}")
+            raise InvalidValue(f"expected {20 + 8 * n} bytes for dims {d}x{h}x{o}, got {len(data)}")
         flat = np.frombuffer(data, dtype="<f8", offset=20, count=n).astype(np.float64)
         return cls.from_flat(dims, flat)
 
@@ -173,7 +170,7 @@ def _gemv_rows(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _check_frames(frames: np.ndarray, input_dim: int, ndims: tuple[int, ...]) -> np.ndarray:
     x = np.asarray(frames, dtype=np.float64)
     if x.ndim not in ndims or x.shape[-1] != input_dim or 0 in x.shape:
-        raise ShapeError(f"frames must be a non-empty {ndims}-d array with last axis {input_dim}, got {x.shape}")
+        raise InvalidValue(f"frames must be a non-empty {ndims}-d array with last axis {input_dim}, got {x.shape}")
     return x
 
 
@@ -211,11 +208,11 @@ def forward(net: Network, frames: np.ndarray) -> tuple[np.ndarray, ForwardCache]
 def _check_labels(labels: np.ndarray, shape: tuple[int, ...], num_classes: int) -> np.ndarray:
     lab = np.asarray(labels)
     if lab.shape != shape:
-        raise ShapeError(f"need one label per frame, got shape {lab.shape} for frames {shape}")
+        raise InvalidValue(f"need one label per frame, got shape {lab.shape} for frames {shape}")
     if lab.dtype.kind not in "iu":
-        raise LabelError(f"labels must be integers, got dtype {lab.dtype}")
+        raise InvalidValue(f"labels must be integers, got dtype {lab.dtype}")
     if lab.min() < 0 or lab.max() >= num_classes:
-        raise LabelError(f"labels must lie in [0, {num_classes})")
+        raise InvalidValue(f"labels must lie in [0, {num_classes})")
     return lab.astype(np.int64)
 
 
@@ -223,7 +220,7 @@ def loss(logits: np.ndarray, labels: np.ndarray) -> float:
     """Mean over frames of softmax cross-entropy, computed with max-subtraction."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2:
-        raise ShapeError(f"logits must be (T, classes), got {logits.shape}")
+        raise InvalidValue(f"logits must be (T, classes), got {logits.shape}")
     t_len, o = logits.shape
     lab = _check_labels(labels, (t_len,), o)
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -238,7 +235,7 @@ def backward(net: Network, cache: ForwardCache, labels: np.ndarray) -> np.ndarra
     (T, B) give one gradient per sequence, (B, P).
     """
     if cache.net is not net:
-        raise CacheError("cache was produced by a different network")
+        raise InvalidValue("cache was produced by a different network")
     d, h, o = net.dims.input_dim, net.dims.hidden_dim, net.dims.output_dim
     t_len, batch = cache.frames.shape[:2]
     single = np.ndim(labels) == 1 and batch == 1
@@ -294,7 +291,7 @@ def per_example_gradients(net: Network, batch: Sequence) -> list[np.ndarray]:
     computed; sequences of equal length then go through the kernel together.
     """
     if len(batch) == 0:
-        raise EmptyDataset("gradient batch must be non-empty")
+        raise InvalidValue("gradient batch must be non-empty")
     by_length: dict[int, list] = {}
     for i, item in enumerate(batch):
         frames, labels = (item.frames, item.labels) if hasattr(item, "frames") else item
@@ -313,7 +310,7 @@ def apply_update(net: Network, grad: np.ndarray, lr: float) -> Network:
     """Gradient descent step: returns a new network with params - lr * grad."""
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != (net.parameter_count,):
-        raise ShapeError(f"gradient length {grad.shape} does not match {net.parameter_count} parameters")
+        raise InvalidValue(f"gradient length {grad.shape} does not match {net.parameter_count} parameters")
     if not (np.isfinite(lr) and lr >= 0.0):
         raise InvalidValue(f"learning rate must be finite and >= 0, got {lr}")
     return Network.from_flat(net.dims, net.flatten() - lr * grad)

@@ -23,14 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    BudgetExceeded,
-    EmptyDataset,
-    GaussianRequiresDelta,
-    InvalidScale,
-    InvalidValue,
-    NotAdjacent,
-)
+from .errors import BudgetExceeded, InvalidValue
 from .rng import RandomSource
 
 
@@ -80,7 +73,7 @@ def mean_sensitivity(bounds: ClampBounds, n: int) -> float:
     records by at most (upper - lower) / n.
     """
     if n < 1:
-        raise EmptyDataset("mean sensitivity needs n >= 1")
+        raise InvalidValue("mean sensitivity needs n >= 1")
     return bounds.width / n
 
 
@@ -90,7 +83,7 @@ def laplace_sample(scale: float, rng: RandomSource) -> float:
     With u uniform on (0, 1):  x = -scale * sgn(u - 1/2) * ln(1 - 2|u - 1/2|).
     """
     if not (math.isfinite(scale) and scale > 0.0):
-        raise InvalidScale(f"Laplace scale must be finite and positive, got {scale}")
+        raise InvalidValue(f"Laplace scale must be finite and positive, got {scale}")
     c = rng.open_uniform() - 0.5
     return -scale * math.copysign(1.0, c) * math.log1p(-2.0 * abs(c))
 
@@ -104,10 +97,8 @@ def gaussian_sigma(sensitivity: float, params: PrivacyParams) -> float:
     """
     if not (math.isfinite(sensitivity) and sensitivity >= 0.0):
         raise InvalidValue(f"sensitivity must be finite and >= 0, got {sensitivity}")
-    if params.delta <= 0.0:
-        raise GaussianRequiresDelta("Gaussian mechanism needs delta > 0")
-    if params.epsilon <= 0.0:
-        raise InvalidValue("Gaussian mechanism needs epsilon > 0")
+    if not (params.epsilon > 0.0 and params.delta > 0.0):
+        raise InvalidValue(f"Gaussian mechanism needs epsilon > 0 and delta > 0, got ({params.epsilon}, {params.delta})")
     return sensitivity * math.sqrt(2.0 * math.log(1.25 / params.delta)) / params.epsilon
 
 
@@ -119,7 +110,7 @@ def dp_mean(values: Sequence[float], bounds: ClampBounds, epsilon: float, rng: R
     """
     n = len(values)
     if n == 0:
-        raise EmptyDataset("dp_mean needs at least one value")
+        raise InvalidValue("dp_mean needs at least one value")
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise InvalidValue(f"epsilon must be finite and positive, got {epsilon}")
     lo, hi = bounds.lower, bounds.upper
@@ -235,12 +226,12 @@ def _check_adjacent(d: Sequence[float], d_adj: Sequence[float]) -> None:
     a, b = Counter(d), Counter(d_adj)
     diff = sum(((a - b) + (b - a)).values())
     if abs(len(d) - len(d_adj)) > 1:
-        raise NotAdjacent("datasets differ in size by more than one record")
+        raise InvalidValue("datasets differ in size by more than one record")
     if len(d) != len(d_adj):
         if diff != 1:
-            raise NotAdjacent("datasets of unequal size must differ in exactly one record")
+            raise InvalidValue("datasets of unequal size must differ in exactly one record")
     elif diff > 2:
-        raise NotAdjacent("equal-size datasets may differ in at most one replaced record")
+        raise InvalidValue("equal-size datasets may differ in at most one replaced record")
 
 
 def distinguishability_probe(

@@ -141,6 +141,16 @@ class Abort:
 Message = Union[Hello, Init, Grad, Avg, Done, Abort]
 
 
+def grad_payload_size(dims: NetworkDims) -> int:
+    """Payload bytes of a GRAD for a model of these dims."""
+    return GRAD_HEADER_LEN + 8 * dims.parameter_count
+
+
+def avg_payload_size(dims: NetworkDims) -> int:
+    """Payload bytes of an AVG (step, length, vector) for a model of these dims."""
+    return 8 + 8 * dims.parameter_count
+
+
 def _frame(tag: int, payload: bytes) -> bytes:
     return MAGIC + struct.pack("<BI", tag, len(payload)) + payload
 

@@ -367,6 +367,62 @@ def test_eval_shape_mismatch_is_usage_error(corpus, tmp_path):
     assert main(["eval", "--model", str(model), "--data", str(other)]) == 2
 
 
+def test_synth_refuses_frames_past_float32_and_writes_nothing(tmp_path, capsys):
+    # frames finite as float64 overflow when narrowed; read_dataset would refuse the file
+    spec = tmp_path / "spec.txt"
+    spec.write_text("feature_dim=2\nnum_classes=3\nn_speakers=1\nsequences_per_speaker=1\n"
+                    "frames_per_sequence=2\nspeaker_offset_scale=1e39\n")
+    out = tmp_path / "huge.seno"
+    assert main(["synth", "--spec", str(spec), "--out", str(out), "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "dpfed: sequence 0 has frames outside the float32 range\n"
+    assert not out.exists()
+
+
+def _patched(data: bytes, offset: int, value: int) -> bytes:
+    return data[:offset] + struct.pack("<I", value) + data[offset + 4 :]
+
+
+def _empty(corpus: bytes, model: bytes) -> bytes:
+    return _patched(corpus[:20], 16, 0)  # the corpus header with no sequences
+
+
+EVAL_BAD_MODEL = ["eval", "--model", "{bad}", "--data", "{corpus}"]
+INSPECT_BAD = ["inspect", "--data", "{bad}"]
+
+
+@pytest.mark.parametrize(
+    "make, argv, message",
+    [
+        (lambda c, m: m[:-8], EVAL_BAD_MODEL, "bytes for dims 5x6x6"),
+        (lambda c, m: b"NOTMAGIC" + m[8:], EVAL_BAD_MODEL, "bad model magic"),
+        (lambda c, m: c[:-3], INSPECT_BAD, "truncated inside sequence 23"),
+        (lambda c, m: _patched(c, len(c) - 4, 6), INSPECT_BAD, "sequence 23 has a label out of range"),
+        (lambda c, m: _patched(c, 24, 0), INSPECT_BAD, "sequence 0 has no frames"),
+        (lambda c, m: _patched(c, 8, 0), INSPECT_BAD, "header dims must be positive"),
+        (_empty, ["warm-start", "--data", "{bad}", "--out", "{out}", "--seed", "1"], "no sequences to train on"),
+        (_empty, ["eval", "--model", "{model}", "--data", "{bad}"], "cannot evaluate on an empty dataset"),
+        (None, ["simulate", "--workers-config", "{bad}", "--steps", "1", "--seed", "1"], "cannot read config"),
+    ],
+    ids=["eval-truncated-model", "eval-bad-magic-model", "inspect-truncated", "inspect-label-out-of-range",
+         "inspect-zero-frames", "inspect-zero-dims", "warm-start-empty", "eval-empty", "simulate-missing-config"],
+)
+def test_bad_input_file_is_usage_exit(make, argv, message, corpus, tmp_path, capsys):
+    # each bad file ends in exit 2, one dpfed: line on stderr, no stdout and no output file
+    model, bad, out = tmp_path / "m.net", tmp_path / "bad", tmp_path / "out"
+    init_network(NetworkDims(5, 6, 6), RandomSource(1)).save(model)
+    if make is not None:
+        bad.write_bytes(make(corpus.read_bytes(), model.read_bytes()))
+    capsys.readouterr()
+    assert main([arg.format(bad=bad, model=model, corpus=corpus, out=out) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    last = captured.err.splitlines()[-1]
+    assert last.startswith("dpfed: ") and message in last
+    assert not out.exists()
+
+
 def _exit_code(argv):
     try:
         return main(argv)

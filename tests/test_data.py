@@ -1,3 +1,8 @@
+import math
+import random
+import struct
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -14,7 +19,7 @@ from dpfed.data import (
     synth_generate,
     write_dataset,
 )
-from dpfed.errors import EmptyDataset, FormatError, InvalidFraction, InvalidValue, LabelError, ShapeError
+from dpfed.errors import InvalidValue
 from dpfed.rng import RandomSource
 
 
@@ -31,11 +36,11 @@ def small_spec(**over):
 
 
 def test_sequence_validation():
-    with pytest.raises(ShapeError):
+    with pytest.raises(InvalidValue, match=r"frames must be \(T >= 1, dim\)"):
         FeatureSequence(0, np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
-    with pytest.raises(ShapeError):
+    with pytest.raises(InvalidValue, match="need exactly one label per frame"):
         FeatureSequence(0, np.zeros((2, 3)), np.zeros(3, dtype=np.int64))
-    with pytest.raises(LabelError):
+    with pytest.raises(InvalidValue, match="labels must be integers"):
         FeatureSequence(0, np.zeros((2, 3)), np.array([0.5, 1.5]))
     with pytest.raises(InvalidValue):
         FeatureSequence(0, np.full((2, 3), np.nan), np.zeros(2, dtype=np.int64))
@@ -44,9 +49,9 @@ def test_sequence_validation():
 def test_dataset_validation():
     seq = FeatureSequence(0, np.zeros((2, 3)), np.array([0, 3]))
     Dataset(3, 4, (seq,))
-    with pytest.raises(LabelError):
+    with pytest.raises(InvalidValue, match="label out of range for 3 classes"):
         Dataset(3, 3, (seq,))
-    with pytest.raises(ShapeError):
+    with pytest.raises(InvalidValue, match="sequence has dim 3, dataset has 4"):
         Dataset(4, 4, (seq,))
 
 
@@ -124,18 +129,106 @@ def test_file_format_errors(tmp_path):
 
     bad = tmp_path / "bad.seno"
     bad.write_bytes(b"WRONGMAG" + raw[8:])
-    with pytest.raises(FormatError):
+    with pytest.raises(InvalidValue, match="bad dataset magic"):
         read_dataset(bad)
     bad.write_bytes(raw[:-3])
-    with pytest.raises(FormatError):
+    with pytest.raises(InvalidValue, match="truncated inside sequence 0"):
         read_dataset(bad)
     bad.write_bytes(raw + b"\x00")
-    with pytest.raises(FormatError):
+    with pytest.raises(InvalidValue, match="1 trailing bytes after last sequence"):
         read_dataset(bad)
     # label out of range: last 4 bytes are the final u32 label
     bad.write_bytes(raw[:-4] + (12345).to_bytes(4, "little"))
-    with pytest.raises(FormatError):
+    with pytest.raises(InvalidValue, match="sequence 0 has a label out of range"):
         read_dataset(bad)
+
+
+def test_write_refuses_frames_that_overflow_float32(tmp_path):
+    # finite as float64 but inf once narrowed, so read_dataset would refuse the file
+    top = float(np.finfo(np.float32).max)
+    path = tmp_path / "corpus.seno"
+    write_dataset(Dataset(2, 3, (FeatureSequence(0, np.array([[top, -top]]), np.array([2])),)), path)
+    assert read_dataset(path).sequences[0].frames.tolist() == [[top, -top]]
+    path.unlink()
+    seqs = (
+        FeatureSequence(0, np.zeros((1, 2)), np.array([0])),
+        FeatureSequence(0, np.array([[1e39, 0.0]]), np.array([1])),
+    )
+    with pytest.raises(InvalidValue, match="sequence 1 has frames outside the float32 range"):
+        write_dataset(Dataset(2, 3, seqs), path)
+    assert not path.exists()
+
+
+def test_read_refuses_signaling_nan_frame(tmp_path):
+    # widening a float32 signaling NaN to float64 would warn before any check
+    path = tmp_path / "snan.seno"
+    path.write_bytes(DATA_MAGIC + struct.pack("<IIIIIII", 1, 1, 1, 0, 1, 0x7F800001, 0))
+    with pytest.raises(InvalidValue, match="sequence 0 has non-finite frames"):
+        read_dataset(path)
+
+
+F32_SPECIALS = [struct.pack("<f", v) for v in (math.nan, math.inf, -math.inf, -0.0)] + [
+    struct.pack("<I", 0x7F800001),  # signaling NaNs
+    struct.pack("<I", 0xFFA00000),
+]
+
+
+def mutate_file(
+    data: bytes, rng: random.Random, u32_fields: list[int], values: list[int], specials: list[bytes]
+) -> bytes:
+    """One to three seeded corruptions of a file: a flipped bit, a cut,
+    appended bytes, a rewritten u32 field at one of ``u32_fields``, or one
+    of ``specials`` (NaN, signaling NaN, inf, -0.0) written over the value
+    at one of ``values``."""
+    b = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(5)
+        if kind == 0 and b:
+            b[rng.randrange(len(b))] ^= 1 << rng.randrange(8)
+        elif kind == 1:
+            del b[rng.randrange(len(b) + 1) :]
+        elif kind == 2:
+            b += rng.randbytes(rng.randint(1, 16))
+        elif kind == 3:
+            i = rng.choice(u32_fields)
+            if i + 4 <= len(b):
+                near = (struct.unpack_from("<I", b, i)[0] + rng.randint(-2, 2)) % 2**32
+                struct.pack_into("<I", b, i, rng.choice([near, 0, 2**32 - 1, rng.getrandbits(32)]))
+        else:
+            i, special = rng.choice(values), rng.choice(specials)
+            if i + len(special) <= len(b):
+                b[i : i + len(special)] = special
+    return bytes(b)
+
+
+def test_mutated_dataset_files_parse_or_raise_invalid_value(tmp_path):
+    # whatever bytes a dataset file holds, reading it ends in a Dataset or
+    # InvalidValue (tier-1 turns any warning into a failure); a file that
+    # parses writes back to its own bytes
+    dim, t, n_seq = 2, 3, 4
+    ds = synth_generate(small_spec(feature_dim=dim, num_classes=3, n_speakers=2, sequences_per_speaker=2,
+                                   frames_per_sequence=t), RandomSource(4))
+    path = tmp_path / "corpus.seno"
+    write_dataset(ds, path)
+    raw = path.read_bytes()
+    seq_len = 8 + 4 * t * (dim + 1)
+    starts = [20 + k * seq_len for k in range(n_seq)]
+    u32_fields = [8, 12, 16] + [s + j for s in starts for j in (0, 4)]
+    frames = [s + 8 + 4 * j for s in starts for j in range(t * dim)]
+    rng = random.Random(2027)
+    outcomes = Counter()
+    for _ in range(5_000):
+        data = mutate_file(raw, rng, u32_fields, frames, F32_SPECIALS)
+        path.write_bytes(data)
+        try:
+            back = read_dataset(path)
+        except InvalidValue:
+            outcomes["refused"] += 1
+            continue
+        write_dataset(back, tmp_path / "again.seno")
+        assert (tmp_path / "again.seno").read_bytes() == data
+        outcomes["parsed"] += 1
+    assert outcomes["refused"] > 2_500 and outcomes["parsed"] > 250, outcomes
 
 
 def test_split_stratified():
@@ -171,12 +264,12 @@ def test_split_never_returns_empty_side():
 
 def test_split_errors():
     ds = synth_generate(small_spec(), RandomSource(0))
-    with pytest.raises(InvalidFraction):
+    with pytest.raises(InvalidValue, match=r"test fraction must lie in \(0, 1\), got 0.0"):
         split(ds, 0.0, RandomSource(0))
-    with pytest.raises(InvalidFraction):
+    with pytest.raises(InvalidValue, match=r"test fraction must lie in \(0, 1\), got 1.0"):
         split(ds, 1.0, RandomSource(0))
     single = Dataset(3, 4, (ds.sequences[0],))
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(InvalidValue, match="split needs at least 2 sequences"):
         split(single, 0.5, RandomSource(0))
 
 
@@ -185,14 +278,14 @@ def test_filter_and_merge():
     only_one = filter_speakers(ds, [1])
     assert only_one.speaker_ids == [1]
     assert only_one.n_sequences == 4
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(InvalidValue, match=r"no sequences for speakers \[99\]"):
         filter_speakers(ds, [99])
     back = merge([filter_speakers(ds, [0]), filter_speakers(ds, [1]), filter_speakers(ds, [2])])
     assert back.n_sequences == ds.n_sequences
     other = synth_generate(small_spec(feature_dim=5), RandomSource(2))
-    with pytest.raises(ShapeError):
+    with pytest.raises(InvalidValue, match="merged datasets must share dim and num_classes"):
         merge([ds, other])
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(InvalidValue, match="merge needs at least one dataset"):
         merge([])
 
 

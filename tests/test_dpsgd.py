@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dpfed.errors import BudgetExceeded, EmptyDataset, InvalidGradient, InvalidValue, ShapeError
+from dpfed.errors import BudgetExceeded, InvalidValue
 from dpfed.dpsgd import (
     BatchSampler,
     DpSgdConfig,
@@ -36,7 +36,7 @@ def test_l2_clip_behaviour():
     assert np.linalg.norm(clipped) == pytest.approx(1.0, rel=1e-15)
     small = np.array([0.1, 0.2])
     assert np.array_equal(l2_clip(small, 1.0), small)
-    with pytest.raises(InvalidGradient):
+    with pytest.raises(InvalidValue, match="gradient contains NaN or infinite entries"):
         l2_clip(np.array([1.0, math.nan]), 1.0)
     with pytest.raises(InvalidValue):
         l2_clip(g, 0.0)
@@ -131,9 +131,9 @@ def test_release_errors():
     cfg = make_cfg()
     ledger = AccountLedger(PrivacyParams(10.0, 1e-3))
     rng = RandomSource(0)
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(InvalidValue, match="release needs at least one gradient"):
         dp_gradient_release([], cfg, ledger, rng, 0)
-    with pytest.raises(ShapeError):
+    with pytest.raises(InvalidValue, match="per-example gradients must all have the same length"):
         dp_gradient_release([np.ones(3), np.ones(4)], cfg, ledger, rng, 0)
 
 
@@ -164,7 +164,7 @@ def test_batch_sampler_covers_each_epoch():
 
 
 def test_batch_sampler_validation():
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(InvalidValue, match="sampler needs at least one sequence"):
         BatchSampler([], 2, RandomSource(0))
     with pytest.raises(InvalidValue):
         BatchSampler([1], 0, RandomSource(0))
@@ -221,7 +221,7 @@ def test_warm_start_equals_per_epoch_shuffle_loop(n, batch_size, epochs):
 def test_warm_start_validation():
     net = init_network(NetworkDims(2, 3, 4), RandomSource(1))
     seq = (np.zeros((2, 2)), np.array([0, 1]))
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(InvalidValue, match="sampler needs at least one sequence"):
         warm_start(net, [], 1, 0.1, 2, RandomSource(2))
     with pytest.raises(InvalidValue):
         warm_start(net, [seq], -1, 0.1, 2, RandomSource(2))

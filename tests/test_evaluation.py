@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dpfed.data import Dataset, FeatureSequence, synth_generate, SynthSpec
-from dpfed.errors import EmptyDataset, ShapeError
+from dpfed.errors import InvalidValue
 from dpfed.evaluation import (
     EVAL_CHUNK,
     ExperimentReport,
@@ -108,10 +108,10 @@ def test_report_speaker_counts_sum_to_total():
 def test_accuracy_errors():
     dims = NetworkDims(3, 4, 4)
     net = init_network(dims, RandomSource(1))
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(InvalidValue, match="cannot evaluate on an empty dataset"):
         accuracy(net, Dataset(3, 4, ()))
     bad = make_dataset(RandomSource(2), NetworkDims(5, 4, 4))
-    with pytest.raises(ShapeError):
+    with pytest.raises(InvalidValue, match="dataset dim .* does not match model input"):
         accuracy(net, bad)
 
 

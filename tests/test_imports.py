@@ -4,6 +4,9 @@
   left out of this check: its imports are the package's re-exports.
 - No module holds an ``assert`` statement: ``python -O`` strips them, so
   a check the program relies on must raise an error instead.
+- Every error class but the base is told apart somewhere: another module
+  names it in an ``except`` clause or an ``isinstance`` call. A class no
+  code reacts to belongs folded into ``InvalidValue``.
 """
 
 import ast
@@ -51,3 +54,29 @@ def test_checker_flags_an_assert():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=[p.name for p in ALL_MODULES])
 def test_module_has_no_assert(path):
     assert asserts(path.read_text()) == []
+
+
+def uncaught_errors(errors_source: str, other_sources: list[str]) -> list[str]:
+    classes = [node.name for node in ast.parse(errors_source).body if isinstance(node, ast.ClassDef)]
+    caught = set()
+    for source in other_sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                named = node.type
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+                named = node.args[1]
+            else:
+                continue
+            caught.update(n.id for n in ast.walk(named) if isinstance(n, ast.Name))
+    return [name for name in classes if name != "DpFedError" and name not in caught]
+
+
+def test_checker_flags_an_error_class_nothing_tells_apart():
+    errors = "class DpFedError(Exception): pass\nclass A(DpFedError): pass\nclass B(DpFedError): pass\nclass C(A): pass\n"
+    other = "try:\n    f()\nexcept (A, OSError):\n    raise B('x')\nif isinstance(e, (C, int)):\n    pass\n"
+    assert uncaught_errors(errors, [other]) == ["B"]
+
+
+def test_every_error_class_is_told_apart():
+    others = [p.read_text() for p in ALL_MODULES if p.name != "errors.py"]
+    assert uncaught_errors((SRC / "errors.py").read_text(), others) == []

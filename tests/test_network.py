@@ -1,11 +1,14 @@
 import math
+import random
+import struct
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
 from dpfed import network
-from dpfed.errors import CacheError, EmptyDataset, FormatError, InvalidValue, LabelError, ShapeError
+from dpfed.errors import InvalidValue
 from dpfed.network import (
     Network,
     NetworkDims,
@@ -19,6 +22,7 @@ from dpfed.network import (
     sequence_gradient,
 )
 from dpfed.rng import RandomSource
+from test_data import mutate_file
 
 
 def rel_err(a, b):
@@ -58,7 +62,7 @@ def test_flat_layout_order():
 
 def test_from_flat_rejects_wrong_length():
     dims = NetworkDims(2, 3, 4)
-    with pytest.raises(ShapeError):
+    with pytest.raises(InvalidValue, match="expected .* parameters, got shape"):
         Network.from_flat(dims, np.zeros(dims.parameter_count + 1))
 
 
@@ -120,11 +124,11 @@ def test_forward_forget_gate_carries_state():
 
 def test_forward_shape_errors():
     net = init_network(NetworkDims(3, 4, 5), RandomSource(1))
-    with pytest.raises(ShapeError):
+    with pytest.raises(InvalidValue, match=r"last axis 3, got \(4, 2\)"):
         forward(net, np.zeros((4, 2)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(InvalidValue, match=r"last axis 3, got \(0, 3\)"):
         forward(net, np.zeros((0, 3)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(InvalidValue, match=r"last axis 3, got \(3,\)"):
         forward(net, np.zeros(3))
 
 
@@ -144,11 +148,11 @@ def test_loss_max_subtraction_survives_large_logits():
 
 def test_loss_label_errors():
     logits = np.zeros((3, 4))
-    with pytest.raises(LabelError):
+    with pytest.raises(InvalidValue, match=r"labels must lie in \[0, 4\)"):
         loss(logits, np.array([0, 1, 4]))
-    with pytest.raises(LabelError):
+    with pytest.raises(InvalidValue, match=r"labels must lie in \[0, 4\)"):
         loss(logits, np.array([0, -1, 2]))
-    with pytest.raises(ShapeError):
+    with pytest.raises(InvalidValue, match="need one label per frame"):
         loss(logits, np.array([0, 1]))
 
 
@@ -181,7 +185,7 @@ def test_backward_requires_matching_cache():
     frames = np.ones((4, 2))
     labels = np.array([0, 1, 0, 1])
     _, cache = forward(net_a, frames)
-    with pytest.raises(CacheError):
+    with pytest.raises(InvalidValue, match="cache was produced by a different network"):
         backward(net_b, cache, labels)
 
 
@@ -193,7 +197,7 @@ def test_per_example_gradients_order_and_empty():
     assert len(grads) == 3
     for (frames, labels), g in zip(batch, grads):
         assert np.array_equal(g, sequence_gradient(net, frames, labels))
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(InvalidValue, match="gradient batch must be non-empty"):
         per_example_gradients(net, [])
 
 
@@ -276,15 +280,15 @@ def test_per_example_gradients_mixed_lengths_and_bad_items(monkeypatch):
 
     calls = []
     monkeypatch.setattr(network, "forward", lambda *a: calls.append(a) or forward(*a))
-    for bad, error in [
-        ((np.zeros((4, 2)), np.zeros(4, dtype=np.int64)), ShapeError),
-        ((np.zeros((4, 3)), np.array([0, 1, 5, 0])), LabelError),
-        ((np.zeros((4, 3)), np.zeros(3, dtype=np.int64)), ShapeError),
+    for bad, message in [
+        ((np.zeros((4, 2)), np.zeros(4, dtype=np.int64)), "last axis 3"),
+        ((np.zeros((4, 3)), np.array([0, 1, 5, 0])), r"labels must lie in \[0, 5\)"),
+        ((np.zeros((4, 3)), np.zeros(3, dtype=np.int64)), "need one label per frame"),
     ]:
-        with pytest.raises(error):
+        with pytest.raises(InvalidValue, match=message):
             per_example_gradients(net, batch + [bad])
     assert calls == []
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(InvalidValue, match="gradient batch must be non-empty"):
         per_example_gradients(net, [])
 
 
@@ -300,7 +304,7 @@ def test_apply_update_moves_parameters():
     grad = np.ones(net.parameter_count)
     new = apply_update(net, grad, 0.5)
     assert np.allclose(new.flatten(), net.flatten() - 0.5)
-    with pytest.raises(ShapeError):
+    with pytest.raises(InvalidValue, match="gradient length .* does not match"):
         apply_update(net, np.ones(3), 0.1)
 
 
@@ -338,9 +342,35 @@ def test_model_file_roundtrip(tmp_path):
 def test_model_format_errors():
     net = init_network(NetworkDims(2, 2, 2), RandomSource(0))
     data = net.to_bytes()
-    with pytest.raises(FormatError):
+    with pytest.raises(InvalidValue, match="expected .* bytes for dims 2x2x2"):
         Network.from_bytes(data[:-4])  # truncated
-    with pytest.raises(FormatError):
+    with pytest.raises(InvalidValue, match="bad model magic"):
         Network.from_bytes(b"NOTMAGIC" + data[8:])
-    with pytest.raises(FormatError):
+    with pytest.raises(InvalidValue, match="model file truncated before header"):
         Network.from_bytes(data[:10])
+    with pytest.raises(InvalidValue, match="hidden_dim must be a positive integer, got 0"):
+        Network.from_bytes(data[:8] + struct.pack("<III", 2, 0, 2) + data[20:])
+
+
+F64_SPECIALS = [struct.pack("<d", v) for v in (math.nan, math.inf, -math.inf, -0.0)] + [
+    struct.pack("<Q", 0x7FF0000000000001),  # signaling NaN
+]
+
+
+def test_mutated_model_files_parse_or_raise_invalid_value():
+    # whatever bytes a model file holds, parsing it ends in a Network or
+    # InvalidValue; a file that parses serializes back to its own bytes
+    data = init_network(NetworkDims(2, 2, 2), RandomSource(0)).to_bytes()
+    params = list(range(20, len(data), 8))
+    rng = random.Random(2028)
+    outcomes = Counter()
+    for _ in range(5_000):
+        mutated = mutate_file(data, rng, [8, 12, 16], params, F64_SPECIALS)
+        try:
+            net = Network.from_bytes(mutated)
+        except InvalidValue:
+            outcomes["refused"] += 1
+            continue
+        assert net.to_bytes() == mutated
+        outcomes["parsed"] += 1
+    assert outcomes["refused"] > 2_500 and outcomes["parsed"] > 250, outcomes

@@ -23,8 +23,10 @@ from dpfed.wire import (
     Grad,
     Hello,
     Init,
+    avg_payload_size,
     decode,
     encode,
+    grad_payload_size,
 )
 
 
@@ -51,6 +53,14 @@ def test_grad_frame_layout():
     assert len(frame) - HEADER_LEN == 24 + 8 * len(vec)
     assert struct.unpack_from("<IddI", frame, HEADER_LEN) == (9, 0.5, 1e-6, 3)
     assert frame[HEADER_LEN + 24 :] == vec.astype("<f8").tobytes()
+
+
+def test_payload_sizes_are_those_of_full_frames():
+    # the frame caps both ends set come from these sizes
+    dims = NetworkDims(3, 4, 5)
+    zeros = np.zeros(dims.parameter_count)
+    assert grad_payload_size(dims) == len(encode(Grad(1, zeros, PrivacyParams(0.5, 1e-6)))) - HEADER_LEN
+    assert avg_payload_size(dims) == len(encode(Avg(1, zeros))) - HEADER_LEN
 
 
 def test_done_frame_is_13_bytes():
