@@ -74,6 +74,8 @@ def accuracy(net: Network, dataset: Dataset) -> EvalReport:
         raise InvalidValue(
             f"dataset dim {dataset.feature_dim} does not match model input {net.dims.input_dim}"
         )
+    if dataset.num_classes > net.dims.output_dim:
+        raise InvalidValue(f"dataset has {dataset.num_classes} classes, model outputs {net.dims.output_dim}")
     by_length: dict[int, list] = {}
     for seq in dataset.sequences:
         by_length.setdefault(seq.n_frames, []).append(seq)

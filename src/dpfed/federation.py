@@ -162,7 +162,7 @@ class WorkerReplica:
                 if msg.seed is not None:
                     self.net = init_network(msg.dims, RandomSource(msg.seed))
                 else:
-                    self.net = Network.from_flat(msg.dims, msg.parameters)
+                    self.net = Network(msg.dims, msg.parameters)
                 self.learning_rate, self.total_steps = msg.learning_rate, msg.total_steps
             elif isinstance(msg, Avg) and msg.step_id == self.steps_completed < self.total_steps:
                 self.apply_average(msg)
@@ -452,15 +452,19 @@ class MessageStream:
 
 
 class Coordinator:
-    """TCP coordinator. ``bind`` first (port 0 picks a free port), then ``run``."""
+    """TCP coordinator for one session. ``bind`` first (port 0 picks a free
+    port), then ``run``; a second ``bind`` or ``run`` is InvalidValue."""
 
     def __init__(self, cfg: SessionConfig):
         self.cfg = cfg
         self.transcript: list[TranscriptEntry] = []
         self._listener: socket.socket | None = None
+        self._ran = False
         self.address: tuple[str, int] | None = None
 
     def bind(self) -> tuple[str, int]:
+        if self._listener is not None:
+            raise InvalidValue("a Coordinator serves one session and is already bound")
         try:
             listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             try:
@@ -481,8 +485,11 @@ class Coordinator:
         """Admit ``n_workers`` connections, all with their HELLO within one
         timeout, then drive the session over them. If admission fails, the
         workers already admitted get an ABORT."""
+        if self._ran:
+            raise InvalidValue("a Coordinator serves one session and has already run")
         if self._listener is None:
             self.bind()
+        self._ran = True
         cfg = self.cfg
         deadline = time.monotonic() + cfg.timeout
         streams: list[MessageStream] = []

@@ -1,16 +1,17 @@
 """Single-layer LSTM frame classifier in plain numpy, float64 throughout.
 
 Gate order inside every stacked (4h, .) array is input, forget, cell
-candidate, output. The flat parameter layout used by gradients, updates,
-and serialization is the row-major concatenation
+candidate, output. A ``Network`` stores one read-only, finite float64
+vector, the row-major concatenation
 
     wx (4h x d), wh (4h x h), b (4h), wo (o x h), bo (o)
 
-for a total of 4h(d + h + 1) + o(h + 1) parameters. Loss is mean-per-frame
-softmax cross-entropy with max-subtraction; backward is full
-backpropagation through time. Model files use the FDPNET01 format: the
-8-byte magic, three u32 little-endian dims, then every parameter as
-float64 little-endian in flat order.
+of 4h(d + h + 1) + o(h + 1) parameters that gradients, updates, INIT and
+model files share; ``NetworkDims.blocks`` cuts the blocks from it as views.
+Loss is mean-per-frame softmax cross-entropy with max-subtraction; backward
+is full backpropagation through time. Model files use the FDPNET01 format:
+the 8-byte magic, three u32 little-endian dims, then the vector as float64
+little-endian.
 
 One kernel steps B equal-length sequences at once over time-major (T, B, .)
 arrays. Each matrix-vector product is one gemv per row and weight gradients
@@ -20,6 +21,7 @@ its batch; ``V @ W.T``, ``einsum`` or a contraction over t round differently.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,52 +53,45 @@ class NetworkDims:
         d, h, o = self.input_dim, self.hidden_dim, self.output_dim
         return 4 * h * (d + h + 1) + o * (h + 1)
 
+    def blocks(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """The parameter blocks as views of ``flat``'s last axis, which holds
+        the flat layout: the one place that layout is written down."""
+        d, h, o = self.input_dim, self.hidden_dim, self.output_dim
+        shapes = {"wx": (4 * h, d), "wh": (4 * h, h), "b": (4 * h,), "wo": (o, h), "bo": (o,)}
+        views, start = {}, 0
+        for name, shape in shapes.items():
+            size = math.prod(shape)
+            views[name] = flat[..., start : start + size].reshape(flat.shape[:-1] + shape)
+            start += size
+        return views
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Network:
-    """Parameter container. Treat as immutable: updates return a new Network."""
+    """Dims and the flat parameter vector, copied, checked finite and made
+    read-only; ``wx`` ... ``bo`` are views into it. Updates return a new one."""
 
     dims: NetworkDims
-    wx: np.ndarray  # (4h, d)
-    wh: np.ndarray  # (4h, h)
-    b: np.ndarray  # (4h,)
-    wo: np.ndarray  # (o, h)
-    bo: np.ndarray  # (o,)
+    parameters: np.ndarray
 
     def __post_init__(self):
-        d, h, o = self.dims.input_dim, self.dims.hidden_dim, self.dims.output_dim
-        expected = {"wx": (4 * h, d), "wh": (4 * h, h), "b": (4 * h,), "wo": (o, h), "bo": (o,)}
-        for name, shape in expected.items():
-            arr = getattr(self, name)
-            if arr.shape != shape or arr.dtype != np.float64:
-                raise InvalidValue(f"{name} must be float64 with shape {shape}, got {arr.dtype} {arr.shape}")
+        flat = np.array(self.parameters, dtype=np.float64)  # a copy no caller holds
+        if flat.shape != (self.dims.parameter_count,):
+            raise InvalidValue(f"expected {self.dims.parameter_count} parameters, got shape {flat.shape}")
+        if not np.isfinite(flat).all():
+            raise InvalidValue("model parameters must be finite")
+        flat.flags.writeable = False
+        object.__setattr__(self, "parameters", flat)
+        for name, view in self.dims.blocks(flat).items():
+            object.__setattr__(self, name, view)
 
     @property
     def parameter_count(self) -> int:
         return self.dims.parameter_count
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate(
-            [self.wx.ravel(), self.wh.ravel(), self.b, self.wo.ravel(), self.bo]
-        )
-
-    @classmethod
-    def from_flat(cls, dims: NetworkDims, flat: np.ndarray) -> "Network":
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (dims.parameter_count,):
-            raise InvalidValue(f"expected {dims.parameter_count} parameters, got shape {flat.shape}")
-        d, h, o = dims.input_dim, dims.hidden_dim, dims.output_dim
-        sizes = [4 * h * d, 4 * h * h, 4 * h, o * h, o]
-        offsets = np.cumsum([0] + sizes)
-        parts = [flat[offsets[i] : offsets[i + 1]].copy() for i in range(5)]
-        return cls(
-            dims=dims,
-            wx=parts[0].reshape(4 * h, d),
-            wh=parts[1].reshape(4 * h, h),
-            b=parts[2],
-            wo=parts[3].reshape(o, h),
-            bo=parts[4],
-        )
+        """The stored parameter vector itself, read-only."""
+        return self.parameters
 
     def to_bytes(self) -> bytes:
         d, h, o = self.dims.input_dim, self.dims.hidden_dim, self.dims.output_dim
@@ -114,8 +109,7 @@ class Network:
         n = dims.parameter_count
         if len(data) != 20 + 8 * n:
             raise InvalidValue(f"expected {20 + 8 * n} bytes for dims {d}x{h}x{o}, got {len(data)}")
-        flat = np.frombuffer(data, dtype="<f8", offset=20, count=n).astype(np.float64)
-        return cls.from_flat(dims, flat)
+        return cls(dims, np.frombuffer(data, dtype="<f8", offset=20, count=n))
 
     def save(self, path: str | Path) -> None:
         Path(path).write_bytes(self.to_bytes())
@@ -130,24 +124,18 @@ def init_network(dims: NetworkDims, rng: RandomSource) -> Network:
 
     Draw order is fixed (wx, wh, wo) so a seed pins every parameter.
     """
-    d, h, o = dims.input_dim, dims.hidden_dim, dims.output_dim
-
-    def block(rows: int, cols: int, fan_in: int) -> np.ndarray:
-        bound = 1.0 / np.sqrt(fan_in)
-        return (rng.uniforms(rows * cols) * 2.0 - 1.0).reshape(rows, cols) * bound
-
-    wx = block(4 * h, d, d)
-    wh = block(4 * h, h, h)
-    wo = block(o, h, h)
-    b = np.zeros(4 * h)
-    b[h : 2 * h] = 1.0
-    bo = np.zeros(o)
-    return Network(dims=dims, wx=wx, wh=wh, b=b, wo=wo, bo=bo)
+    flat = np.zeros(dims.parameter_count)
+    blocks = dims.blocks(flat)
+    for name, fan_in in (("wx", dims.input_dim), ("wh", dims.hidden_dim), ("wo", dims.hidden_dim)):
+        w = blocks[name]
+        w[...] = (rng.uniforms(w.size) * 2.0 - 1.0).reshape(w.shape) * (1.0 / np.sqrt(fan_in))
+    blocks["b"][dims.hidden_dim : 2 * dims.hidden_dim] = 1.0  # forget gate
+    return Network(dims, flat)
 
 
 @dataclass
 class ForwardCache:
-    """Everything backward needs, time-major, tied to the network that produced it."""
+    """Everything backward needs, time-major, with the network that produced it."""
 
     net: Network
     frames: np.ndarray  # (T, B, d)
@@ -228,14 +216,14 @@ def loss(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(log_z - shifted[np.arange(t_len), lab]))
 
 
-def backward(net: Network, cache: ForwardCache, labels: np.ndarray) -> np.ndarray:
-    """Flat gradient of each sequence's mean-per-frame loss via BPTT.
+def backward(cache: ForwardCache, labels: np.ndarray) -> np.ndarray:
+    """Flat gradient of each sequence's mean-per-frame loss via BPTT, at
+    the network that produced the cache.
 
     Labels (T,) for a one-sequence cache give one gradient (P,); labels
     (T, B) give one gradient per sequence, (B, P).
     """
-    if cache.net is not net:
-        raise InvalidValue("cache was produced by a different network")
+    net = cache.net
     d, h, o = net.dims.input_dim, net.dims.hidden_dim, net.dims.output_dim
     t_len, batch = cache.frames.shape[:2]
     single = np.ndim(labels) == 1 and batch == 1
@@ -273,14 +261,16 @@ def backward(net: Network, cache: ForwardCache, labels: np.ndarray) -> np.ndarra
         dh_next = _gemv_rows(net.wh.T, dz)
         dc_next = dc * gf[t]
 
-    parts = [d_w[:, :, :d], d_w[:, :, d : d + h], d_w[:, :, d + h], dwo, dbo]
-    grads = np.concatenate([p.reshape(batch, -1) for p in parts], axis=1)
+    grads = np.empty((batch, net.parameter_count))
+    parts = {"wx": d_w[:, :, :d], "wh": d_w[:, :, d : d + h], "b": d_w[:, :, d + h], "wo": dwo, "bo": dbo}
+    for name, block in net.dims.blocks(grads).items():
+        block[...] = parts[name]
     return grads[0] if single else grads
 
 
 def sequence_gradient(net: Network, frames: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Forward plus backward for one sequence."""
-    return backward(net, forward(net, frames)[1], labels)
+    return backward(forward(net, frames)[1], labels)
 
 
 def per_example_gradients(net: Network, batch: Sequence) -> list[np.ndarray]:
@@ -302,7 +292,7 @@ def per_example_gradients(net: Network, batch: Sequence) -> list[np.ndarray]:
     for group in by_length.values():
         rows, xs, labs = zip(*group)
         _, cache = forward(net, np.array(xs).swapaxes(0, 1))
-        grads[list(rows)] = backward(net, cache, np.array(labs).T)
+        grads[list(rows)] = backward(cache, np.array(labs).T)
     return list(grads)
 
 
@@ -313,7 +303,7 @@ def apply_update(net: Network, grad: np.ndarray, lr: float) -> Network:
         raise InvalidValue(f"gradient length {grad.shape} does not match {net.parameter_count} parameters")
     if not (np.isfinite(lr) and lr >= 0.0):
         raise InvalidValue(f"learning rate must be finite and >= 0, got {lr}")
-    return Network.from_flat(net.dims, net.flatten() - lr * grad)
+    return Network(net.dims, net.parameters - lr * grad)
 
 
 def finite_difference_gradient(
@@ -327,8 +317,8 @@ def finite_difference_gradient(
     for j in range(flat.size):
         bumped = flat.copy()
         bumped[j] = flat[j] + h
-        hi_logits, _ = forward(Network.from_flat(net.dims, bumped), frames)
+        hi_logits, _ = forward(Network(net.dims, bumped), frames)
         bumped[j] = flat[j] - h
-        lo_logits, _ = forward(Network.from_flat(net.dims, bumped), frames)
+        lo_logits, _ = forward(Network(net.dims, bumped), frames)
         grad[j] = (loss(hi_logits, labels) - loss(lo_logits, labels)) / (2.0 * h)
     return grad

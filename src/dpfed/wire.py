@@ -4,7 +4,8 @@ Every frame is the 4-byte magic ``FDP1``, a one-byte message tag, a u32
 little-endian payload length, then the payload. Integers are u32 little
 endian, reals are f64 little endian. Tags: HELLO=1, INIT=2, GRAD=3,
 AVG=4, DONE=5, ABORT=6. INIT carries either an init seed or the full
-flat parameter vector, so replicas can be seeded or cloned.
+flat parameter vector, so replicas can be seeded or cloned; a vector
+holding NaN or inf is refused, as it is for every ``Network``.
 
 A GRAD (protocol version 2) is the one release record: step, epsilon,
 delta and vector length (``<IddI``, 24 bytes), then the P values, so
@@ -24,7 +25,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DecodeError, InvalidValue
-from .network import NetworkDims
+from .network import Network, NetworkDims
 from .privacy import PrivacyParams
 
 MAGIC = b"FDP1"
@@ -78,8 +79,9 @@ class _Framed:
 @dataclass(eq=False)
 class Init(_Framed):
     """Session start: model shape, step count, learning rate, and either
-    an init seed or explicit parameters. Holds every rule a session must
-    meet, so both ends refuse the same sessions."""
+    an init seed or explicit parameters, which must make a valid
+    ``Network`` (the right length, all finite). Holds every rule a session
+    must meet, so both ends refuse the same sessions."""
 
     dims: NetworkDims
     total_steps: int
@@ -95,11 +97,7 @@ class Init(_Framed):
         if self.seed is not None and not 0 <= self.seed < 2**64:
             raise InvalidValue("INIT seed must fit in u64")
         if self.parameters is not None:
-            self.parameters = np.asarray(self.parameters, dtype=np.float64)
-            if self.parameters.shape != (self.dims.parameter_count,):
-                raise InvalidValue(
-                    f"INIT parameter vector must have length {self.dims.parameter_count}"
-                )
+            self.parameters = Network(self.dims, self.parameters).flatten()
         if not 0 <= self.total_steps < 2**32:
             raise InvalidValue("total_steps must be >= 0 and fit in u32")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
@@ -213,7 +211,7 @@ def _decode_init(payload: bytes) -> tuple[Init, int]:
         if kind == 1:
             n = dims.parameter_count
             _need(payload, 25, 8 * n, "INIT parameters")
-            params = np.frombuffer(payload, dtype="<f8", offset=25, count=n).astype(np.float64)
+            params = np.frombuffer(payload, dtype="<f8", offset=25, count=n)
             return Init(dims, steps, lr, parameters=params), 25 + 8 * n
     except InvalidValue as exc:
         raise DecodeError(f"bad INIT fields: {exc}") from exc

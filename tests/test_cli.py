@@ -388,6 +388,14 @@ def _empty(corpus: bytes, model: bytes) -> bytes:
     return _patched(corpus[:20], 16, 0)  # the corpus header with no sequences
 
 
+def _inf_model(corpus: bytes, model: bytes) -> bytes:
+    return model[:20] + struct.pack("<d", math.inf) + model[28:]  # +inf at wx[0, 0]
+
+
+def _four_class_model(corpus: bytes, model: bytes) -> bytes:
+    return init_network(NetworkDims(5, 6, 4), RandomSource(1)).to_bytes()  # the corpus has 6 classes
+
+
 EVAL_BAD_MODEL = ["eval", "--model", "{bad}", "--data", "{corpus}"]
 INSPECT_BAD = ["inspect", "--data", "{bad}"]
 
@@ -404,9 +412,14 @@ INSPECT_BAD = ["inspect", "--data", "{bad}"]
         (_empty, ["warm-start", "--data", "{bad}", "--out", "{out}", "--seed", "1"], "no sequences to train on"),
         (_empty, ["eval", "--model", "{model}", "--data", "{bad}"], "cannot evaluate on an empty dataset"),
         (None, ["simulate", "--workers-config", "{bad}", "--steps", "1", "--seed", "1"], "cannot read config"),
+        (_inf_model, EVAL_BAD_MODEL, "model parameters must be finite"),
+        (_inf_model, ["coordinator", "--listen", "127.0.0.1:0", "--workers", "1", "--steps", "1",
+                      "--init-model", "{bad}", "--timeout", "0.2"], "model parameters must be finite"),
+        (_four_class_model, EVAL_BAD_MODEL, "dataset has 6 classes, model outputs 4"),
     ],
     ids=["eval-truncated-model", "eval-bad-magic-model", "inspect-truncated", "inspect-label-out-of-range",
-         "inspect-zero-frames", "inspect-zero-dims", "warm-start-empty", "eval-empty", "simulate-missing-config"],
+         "inspect-zero-frames", "inspect-zero-dims", "warm-start-empty", "eval-empty", "simulate-missing-config",
+         "eval-inf-model", "coordinator-inf-init-model", "eval-too-few-classes"],
 )
 def test_bad_input_file_is_usage_exit(make, argv, message, corpus, tmp_path, capsys):
     # each bad file ends in exit 2, one dpfed: line on stderr, no stdout and no output file

@@ -17,15 +17,7 @@ from dpfed.rng import RandomSource
 
 
 def zero_network(dims):
-    d, h, o = dims.input_dim, dims.hidden_dim, dims.output_dim
-    return Network(
-        dims=dims,
-        wx=np.zeros((4 * h, d)),
-        wh=np.zeros((4 * h, h)),
-        b=np.zeros(4 * h),
-        wo=np.zeros((o, h)),
-        bo=np.zeros(o),
-    )
+    return Network(dims, np.zeros(dims.parameter_count))
 
 
 def make_dataset(rng, dims, n_speakers=3, seqs=4, frames=5):
@@ -60,13 +52,20 @@ def test_zero_network_predicts_class_zero():
 def test_constant_bias_oracle_model():
     # Huge bias on class 2 dominates every logit; labels all 2 give accuracy 1.
     dims = NetworkDims(3, 4, 5)
-    net = zero_network(dims)
-    bo = np.zeros(5)
-    bo[2] = 1e6
-    net = Network(dims=dims, wx=net.wx, wh=net.wh, b=net.b, wo=net.wo, bo=bo)
+    flat = np.zeros(dims.parameter_count)
+    dims.blocks(flat)["bo"][2] = 1e6
+    net = Network(dims, flat)
     seq = FeatureSequence(0, np.ones((6, 3)), np.full(6, 2, dtype=np.int64))
     report = accuracy(net, Dataset(3, 5, (seq,)))
     assert report.overall == 1.0
+
+
+def test_accuracy_refuses_labels_the_model_cannot_output():
+    # a 4-class model scored on 5-class data used to report a low accuracy
+    ds = make_dataset(RandomSource(3), NetworkDims(3, 4, 5))
+    net = init_network(NetworkDims(3, 4, 4), RandomSource(4))
+    with pytest.raises(InvalidValue, match="dataset has 5 classes, model outputs 4"):
+        accuracy(net, ds)
 
 
 def test_accuracy_invariant_under_increasing_logit_transform():
@@ -76,9 +75,11 @@ def test_accuracy_invariant_under_increasing_logit_transform():
     ds = make_dataset(rng, dims)
     base = accuracy(net, ds)
     # logits' = 7*logits + 3 leaves every argmax unchanged
-    scaled = Network(
-        dims=dims, wx=net.wx, wh=net.wh, b=net.b, wo=7.0 * net.wo, bo=7.0 * net.bo + 3.0
-    )
+    flat = net.flatten().copy()
+    blocks = dims.blocks(flat)
+    blocks["wo"] *= 7.0
+    blocks["bo"][...] = 7.0 * blocks["bo"] + 3.0
+    scaled = Network(dims, flat)
     assert accuracy(scaled, ds).overall == base.overall
 
 

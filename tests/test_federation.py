@@ -168,6 +168,37 @@ def test_bind_caps_listen_backlog():
             coord._listener.close()
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_session_config_refuses_non_finite_init_parameters(bad):
+    # a one-worker session from a model with inf at wx[0, 0] used to run
+    # every round, charge every release and end with the inf still there
+    params = init_network(DIMS, RandomSource(7)).flatten().copy()
+    params[0] = bad
+    with pytest.raises(InvalidValue, match="model parameters must be finite"):
+        session_cfg(1, 2, init_seed=None, init_parameters=params)
+
+
+def test_second_bind_is_refused_and_leaks_no_socket():
+    # a second listening socket used to replace the first, left open
+    coord = Coordinator(session_cfg(1, 1))
+    coord.bind()
+    try:
+        with pytest.raises(InvalidValue, match="serves one session"):
+            coord.bind()
+    finally:
+        coord._listener.close()
+
+
+def test_run_after_a_timed_out_run_is_refused():
+    # the second run used to reach the closed listener: a raw OSError
+    coord = Coordinator(session_cfg(1, 1, timeout=0.2))
+    with pytest.raises(TimedOut):
+        coord.run()  # no worker ever connects
+    for again in (coord.run, coord.bind):
+        with pytest.raises(InvalidValue, match="serves one session"):
+            again()
+
+
 @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf")])
 def test_worker_run_rejects_bad_timeout(timeout):
     # refused before any socket is opened, so the address is never tried
@@ -588,9 +619,21 @@ def _init_frame(learning_rate):
     return bytes(frame)
 
 
-@pytest.mark.parametrize("learning_rate", [float("nan"), -1.0, 0.0])
-def test_worker_refuses_bad_init_before_releasing(learning_rate):
-    # a scripted coordinator sends an INIT whose rate a SessionConfig refuses
+def _nan_parameter_init_frame():
+    # a parameters-kind INIT with a NaN patched over its first parameter
+    params = init_network(DIMS, RandomSource(7)).flatten()
+    frame = bytearray(encode(Init(DIMS, total_steps=3, learning_rate=0.05, parameters=params)))
+    struct.pack_into("<d", frame, HEADER_LEN + 25, float("nan"))
+    return bytes(frame)
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [_init_frame(float("nan")), _init_frame(-1.0), _init_frame(0.0), _nan_parameter_init_frame()],
+    ids=["nan", "-1.0", "0.0", "nan-parameter"],
+)
+def test_worker_refuses_bad_init_before_releasing(frame):
+    # a scripted coordinator sends an INIT that a SessionConfig refuses
     listener = socket.create_server(("127.0.0.1", 0))
     listener.settimeout(10.0)
     box = {}
@@ -600,7 +643,7 @@ def test_worker_refuses_bad_init_before_releasing(learning_rate):
         with conn:
             conn.settimeout(10.0)
             box["hello"], _ = MessageStream(conn).recv()
-            conn.sendall(_init_frame(learning_rate))
+            conn.sendall(frame)
             box["after"] = conn.recv(1 << 16)  # empty once the worker hangs up
 
     thread = threading.Thread(target=fake_coordinator)

@@ -13,7 +13,6 @@ from dpfed.network import (
     Network,
     NetworkDims,
     apply_update,
-    backward,
     finite_difference_gradient,
     forward,
     init_network,
@@ -56,14 +55,36 @@ def test_flat_layout_order():
     off = 4 * h * (2 + h + 1)
     assert flat[off] == net.wo[0, 0]
     assert flat[off + 4 * h] == net.bo[0]
-    back = Network.from_flat(dims, flat)
+    back = Network(dims, flat)
     assert np.array_equal(back.flatten(), flat)
 
 
-def test_from_flat_rejects_wrong_length():
+def test_network_rejects_wrong_length():
     dims = NetworkDims(2, 3, 4)
     with pytest.raises(InvalidValue, match="expected .* parameters, got shape"):
-        Network.from_flat(dims, np.zeros(dims.parameter_count + 1))
+        Network(dims, np.zeros(dims.parameter_count + 1))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_network_rejects_non_finite_parameters(bad):
+    dims = NetworkDims(2, 3, 4)
+    flat = np.zeros(dims.parameter_count)
+    flat[-1] = bad
+    with pytest.raises(InvalidValue, match="model parameters must be finite"):
+        Network(dims, flat)
+
+
+def test_network_is_read_only_and_owns_its_vector():
+    dims = NetworkDims(2, 3, 4)
+    flat = init_network(dims, RandomSource(0)).flatten().copy()
+    net = Network(dims, flat)
+    flat[0] = 99.0  # the caller's array is not the model's
+    assert net.wx[0, 0] != 99.0
+    with pytest.raises(ValueError, match="read-only"):
+        net.wx[0, 0] = 1.0  # used to edit a frozen model in place
+    with pytest.raises(ValueError, match="read-only"):
+        net.flatten()[0] = 1.0
+    assert net.flatten() is net.flatten()  # the stored vector, not a copy
 
 
 def test_init_bounds_and_biases():
@@ -89,14 +110,7 @@ def test_init_deterministic():
 def test_forward_single_step_oracle():
     # d = h = o = 1, one frame, hand-computed gates
     dims = NetworkDims(1, 1, 1)
-    net = Network(
-        dims=dims,
-        wx=np.array([[0.5], [0.5], [0.5], [0.5]]),
-        wh=np.zeros((4, 1)),
-        b=np.zeros(4),
-        wo=np.array([[1.0]]),
-        bo=np.zeros(1),
-    )
+    net = Network(dims, np.concatenate([[0.5] * 4, np.zeros(4), np.zeros(4), [1.0], [0.0]]))  # wx wh b wo bo
     logits, cache = forward(net, np.array([[1.0]]))
     sig = 1.0 / (1.0 + math.exp(-0.5))
     g = math.tanh(0.5)
@@ -110,14 +124,8 @@ def test_forward_single_step_oracle():
 def test_forward_forget_gate_carries_state():
     # with forget gate saturated open and input gate shut, the cell state persists
     dims = NetworkDims(1, 1, 1)
-    net = Network(
-        dims=dims,
-        wx=np.zeros((4, 1)),
-        wh=np.zeros((4, 1)),
-        b=np.array([-50.0, 50.0, 0.0, 50.0]),  # i ~ 0, f ~ 1, o ~ 1
-        wo=np.array([[1.0]]),
-        bo=np.zeros(1),
-    )
+    b = [-50.0, 50.0, 0.0, 50.0]  # i ~ 0, f ~ 1, o ~ 1
+    net = Network(dims, np.concatenate([np.zeros(4), np.zeros(4), b, [1.0], [0.0]]))  # wx wh b wo bo
     _, cache = forward(net, np.zeros((5, 1)))
     assert np.allclose(cache.cell, 0.0, atol=1e-20)
 
@@ -176,17 +184,6 @@ def test_gradient_check_step_bounds():
         finite_difference_gradient(net, frames, labels, h=1e-9)
     with pytest.raises(InvalidValue):
         finite_difference_gradient(net, frames, labels, h=1e-2)
-
-
-def test_backward_requires_matching_cache():
-    dims = NetworkDims(2, 3, 2)
-    net_a = init_network(dims, RandomSource(1))
-    net_b = init_network(dims, RandomSource(2))
-    frames = np.ones((4, 2))
-    labels = np.array([0, 1, 0, 1])
-    _, cache = forward(net_a, frames)
-    with pytest.raises(InvalidValue, match="cache was produced by a different network"):
-        backward(net_b, cache, labels)
 
 
 def test_per_example_gradients_order_and_empty():
@@ -352,6 +349,12 @@ def test_model_format_errors():
         Network.from_bytes(data[:8] + struct.pack("<III", 2, 0, 2) + data[20:])
 
 
+def test_model_file_with_inf_is_refused():
+    data = init_network(NetworkDims(2, 2, 2), RandomSource(0)).to_bytes()
+    with pytest.raises(InvalidValue, match="model parameters must be finite"):
+        Network.from_bytes(data[:20] + struct.pack("<d", math.inf) + data[28:])  # wx[0, 0]
+
+
 F64_SPECIALS = [struct.pack("<d", v) for v in (math.nan, math.inf, -math.inf, -0.0)] + [
     struct.pack("<Q", 0x7FF0000000000001),  # signaling NaN
 ]
@@ -359,7 +362,8 @@ F64_SPECIALS = [struct.pack("<d", v) for v in (math.nan, math.inf, -math.inf, -0
 
 def test_mutated_model_files_parse_or_raise_invalid_value():
     # whatever bytes a model file holds, parsing it ends in a Network or
-    # InvalidValue; a file that parses serializes back to its own bytes
+    # InvalidValue; a file that parses is finite and serializes back to its
+    # own bytes
     data = init_network(NetworkDims(2, 2, 2), RandomSource(0)).to_bytes()
     params = list(range(20, len(data), 8))
     rng = random.Random(2028)
@@ -371,6 +375,7 @@ def test_mutated_model_files_parse_or_raise_invalid_value():
         except InvalidValue:
             outcomes["refused"] += 1
             continue
+        assert np.isfinite(net.flatten()).all()
         assert net.to_bytes() == mutated
         outcomes["parsed"] += 1
     assert outcomes["refused"] > 2_500 and outcomes["parsed"] > 250, outcomes
