@@ -140,6 +140,14 @@ def train_step(
     return dp_gradient_release(grads, cfg, ledger, rng, step_id)
 
 
+def batch_gradients(net: Network, batches: Sequence[Sequence]) -> list[list[np.ndarray]]:
+    """``per_example_gradients`` of each batch, from one call over all of
+    them; the kernel gives each sequence the same bits in any batch."""
+    grads = per_example_gradients(net, [item for batch in batches for item in batch])
+    ends = np.cumsum([len(batch) for batch in batches])
+    return [grads[end - len(batch) : end] for batch, end in zip(batches, ends)]
+
+
 class BatchSampler:
     """Cycles through sequences in shuffled epochs, one batch at a time.
 

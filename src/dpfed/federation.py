@@ -6,13 +6,16 @@ and every worker applies it with the shared learning rate. Workers and
 coordinator advance in lockstep; a budget refusal or protocol fault on
 any side aborts the whole session.
 
-One round driver plays the coordinator and ``WorkerReplica.reply`` plays
+One round driver plays the coordinator and a ``WorkerReplica`` plays
 each worker, over a per-worker link with ``send(msg) -> payload bytes``
 and ``recv() -> (msg, payload bytes)``: in memory for ``inproc_session``,
 a TCP :class:`MessageStream` for the ``Coordinator`` / ``worker_run``
 pair. Averages are summed in ascending worker id order and releases
 travel as exact float64 bytes, so both transports produce bit-identical
-models, ledgers and transcripts for the same seeds.
+models, ledgers and transcripts for the same seeds. In memory, replicas
+on byte-equal models share one per-example gradient call per round; the
+kernel gives each sequence the same bits in any batch, so that changes
+no release.
 """
 
 from __future__ import annotations
@@ -27,8 +30,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import dpsgd
 from .data import Dataset
-from .dpsgd import BatchSampler, DpSgdConfig, fixed_order_mean, train_step
+from .dpsgd import BatchSampler, DpSgdConfig, fixed_order_mean
 from .errors import (
     BudgetExceeded,
     DecodeError,
@@ -71,10 +75,12 @@ def _check_endpoint(port: int, timeout: float) -> None:
         raise InvalidValue(f"timeout must be finite and positive, got {timeout}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SessionConfig:
-    """Shared session parameters; the coordinator hands them out via INIT,
-    and a config is refused unless its INIT can be built."""
+    """Shared session parameters; the coordinator hands them out via INIT.
+    The INIT is built once, at construction, or the config is refused; it
+    holds its own checked copy of ``init_parameters``, which the config
+    then keeps in place of the caller's array."""
 
     n_workers: int
     total_steps: int
@@ -90,16 +96,18 @@ class SessionConfig:
         if not 1 <= self.n_workers <= 2**32:  # each worker needs its own u32 id
             raise InvalidValue(f"session needs 1 to 2**32 workers, got {self.n_workers}")
         _check_endpoint(self.port, self.timeout)
-        self.init_message()
-
-    def init_message(self) -> Init:
-        return Init(
+        init = Init(
             dims=self.dims,
             total_steps=self.total_steps,
             learning_rate=self.learning_rate,
             seed=self.init_seed,
             parameters=self.init_parameters,
         )
+        object.__setattr__(self, "init_parameters", init.parameters)
+        object.__setattr__(self, "_init", init)
+
+    def init_message(self) -> Init:
+        return self._init
 
 
 @dataclass
@@ -117,12 +125,18 @@ class WorkerSpec:
             raise InvalidValue("worker id must fit in u32")
 
 
+def _abort(exc: DpFedError) -> Abort:
+    return Abort(ABORT_BUDGET if isinstance(exc, BudgetExceeded) else ABORT_PROTOCOL, str(exc))
+
+
 class WorkerReplica:
     """One worker's training state, transport-agnostic.
 
     Batch order and noise come from streams derived from the worker seed
     by fixed keys, so a replica's behaviour depends only on (spec, INIT),
-    never on transport timing.
+    never on transport timing. Each round has three steps: ``accept`` the
+    INIT or AVG, draw a batch with ``next_batch``, and ``release`` its
+    per-example gradients. ``reply`` runs them back to back.
     """
 
     def __init__(self, spec: WorkerSpec):
@@ -139,13 +153,41 @@ class WorkerReplica:
         self.total_steps = 0
         self.steps_completed = 0
 
-    def make_release(self, step_id: int) -> Grad:
-        """One private release; BudgetExceeded propagates with state intact."""
-        batch = self._sampler.next_batch()
-        release, self.ledger = train_step(
-            self.net, batch, self.dp_config, self.ledger, self._noise_rng, step_id
+    def accept(self, msg: Message) -> None:
+        """Take INIT or the current step's AVG; any other message is a
+        ProtocolError, and a fault while applying one raises too."""
+        if isinstance(msg, Init) and self.net is None:
+            if msg.seed is not None:
+                self.net = init_network(msg.dims, RandomSource(msg.seed))
+            else:
+                self.net = Network(msg.dims, msg.parameters)
+            self.learning_rate, self.total_steps = msg.learning_rate, msg.total_steps
+        elif isinstance(msg, Avg) and msg.step_id == self.steps_completed < self.total_steps:
+            self.apply_average(msg)
+            self.steps_completed += 1
+        else:
+            name = type(msg).__name__.upper()
+            raise ProtocolError(f"unexpected {name} after {self.steps_completed} steps")
+
+    @property
+    def owes_release(self) -> bool:
+        """Whether the last accepted message calls for a GRAD."""
+        return self.steps_completed < self.total_steps
+
+    def next_batch(self) -> list:
+        return self._sampler.next_batch()
+
+    def release(self, grads: Sequence[np.ndarray]) -> Grad:
+        """The current step's private release of its batch's per-example
+        gradients; BudgetExceeded propagates with state intact."""
+        release, self.ledger = dpsgd.dp_gradient_release(
+            grads, self.dp_config, self.ledger, self._noise_rng, self.steps_completed
         )
         return release
+
+    def make_release(self) -> Grad:
+        """``release`` of a new batch, gradients and all."""
+        return self.release(dpsgd.per_example_gradients(self.net, self.next_batch()))
 
     def apply_average(self, avg: Avg) -> None:
         if not np.all(np.isfinite(avg.vector)):
@@ -158,25 +200,10 @@ class WorkerReplica:
         fault while applying or releasing, is answered with an ABORT.
         """
         try:
-            if isinstance(msg, Init) and self.net is None:
-                if msg.seed is not None:
-                    self.net = init_network(msg.dims, RandomSource(msg.seed))
-                else:
-                    self.net = Network(msg.dims, msg.parameters)
-                self.learning_rate, self.total_steps = msg.learning_rate, msg.total_steps
-            elif isinstance(msg, Avg) and msg.step_id == self.steps_completed < self.total_steps:
-                self.apply_average(msg)
-                self.steps_completed += 1
-            else:
-                name = type(msg).__name__.upper()
-                return Abort(ABORT_PROTOCOL, f"unexpected {name} after {self.steps_completed} steps")
-            if self.steps_completed == self.total_steps:
-                return None
-            return self.make_release(self.steps_completed)
-        except BudgetExceeded as exc:
-            return Abort(ABORT_BUDGET, str(exc))
+            self.accept(msg)
+            return self.make_release() if self.owes_release else None
         except DpFedError as exc:
-            return Abort(ABORT_PROTOCOL, str(exc))
+            return _abort(exc)
 
 
 def average_releases(releases: Sequence[Grad]) -> np.ndarray:
@@ -325,23 +352,68 @@ def _run_rounds(
 
 
 class _LocalLink:
-    """In-memory link to a replica that answers each INIT or AVG at once,
-    just as a TCP worker does, so replies queue up in the same order."""
+    """In-memory link to a replica. It accepts (or refuses) each INIT or AVG
+    at once, just as a TCP worker does, and joins ``owed`` when that calls
+    for a release. The round's first read computes the releases of every
+    link in ``owed`` together (``_release_owed``), so replies queue up in
+    the same order as over TCP, and every replica releases its step
+    whichever worker's reply ends the round."""
 
-    def __init__(self, replica: WorkerReplica):
-        self._replica = replica
-        self._outbox: list[Message] = [Hello(replica.worker_id)]
+    def __init__(self, replica: WorkerReplica, owed: list["_LocalLink"]):
+        self.replica = replica
+        self.outbox: list[Message] = [Hello(replica.worker_id)]
+        self._owed = owed
 
     def send(self, msg: Message) -> int:
         if isinstance(msg, (Init, Avg)):
-            reply = self._replica.reply(msg)
-            if reply is not None:
-                self._outbox.append(reply)
+            try:
+                self.replica.accept(msg)
+            except DpFedError as exc:
+                self.outbox.append(_abort(exc))
+            else:
+                if self.replica.owes_release:
+                    self._owed.append(self)
         return len(encode(msg)) - HEADER_LEN
 
     def recv(self) -> tuple[Message, int]:
-        msg = self._outbox.pop(0)
+        if self._owed:
+            _release_owed(self._owed)
+        msg = self.outbox.pop(0)
         return msg, len(encode(msg)) - HEADER_LEN
+
+
+def _release_owed(owed: list[_LocalLink]) -> None:
+    """Queue each owed link's release, and empty ``owed``.
+
+    Replicas draw their batches in worker id order; those whose models are
+    byte-equal (all of them, in a clean session) share one per-example
+    gradient call over their batches in that order, and each releases its
+    own slice with its own clip bound, noise stream and ledger. If a shared
+    call raises, its replicas recompute one by one in worker id order, so
+    the fault lands on the worker whose batch caused it, as it would over
+    TCP.
+    """
+    links = sorted(owed, key=lambda link: link.replica.worker_id)
+    owed.clear()
+    batches = [link.replica.next_batch() for link in links]
+    groups: dict[bytes, list[int]] = {}
+    for i, link in enumerate(links):
+        groups.setdefault(link.replica.net.parameters.tobytes(), []).append(i)
+    grads: list = [None] * len(links)
+    for members in groups.values():
+        try:
+            shared = dpsgd.batch_gradients(links[members[0]].replica.net, [batches[i] for i in members])
+        except DpFedError:
+            continue
+        for i, g in zip(members, shared):
+            grads[i] = g
+    for link, batch, g in zip(links, batches, grads):
+        try:
+            if g is None:
+                g = dpsgd.per_example_gradients(link.replica.net, batch)
+            link.outbox.append(link.replica.release(g))
+        except DpFedError as exc:
+            link.outbox.append(_abort(exc))
 
 
 def inproc_session(
@@ -353,7 +425,10 @@ def inproc_session(
 
     Runs the round driver and replica code the TCP path uses, over
     in-memory links, and records the same coordinator-side transcript.
-    ``on_round`` sees the per-worker networks after every applied average.
+    A link accepts each INIT or AVG at once; the replicas' releases are
+    computed at the round's first read, with one shared gradient call for
+    replicas on byte-equal models. ``on_round`` sees the per-worker
+    networks after every applied average.
     """
     if len(specs) != cfg.n_workers:
         raise InvalidValue(f"config says {cfg.n_workers} workers, got {len(specs)} specs")
@@ -364,9 +439,10 @@ def inproc_session(
     replicas = {s.worker_id: WorkerReplica(s) for s in specs}
     wids = sorted(replicas)
     links: dict[int, _LocalLink] = {}
+    owed: list[_LocalLink] = []
     transcript: list[TranscriptEntry] = []
     for wid in wids:
-        link = _LocalLink(replicas[wid])
+        link = _LocalLink(replicas[wid], owed)
         _admit(link, link.recv(), links, transcript)
 
     def networks() -> dict[int, Network]:

@@ -16,7 +16,9 @@ little-endian.
 One kernel steps B equal-length sequences at once over time-major (T, B, .)
 arrays. Each matrix-vector product is one gemv per row and weight gradients
 accumulate step by step in reverse t, so a sequence's bits never depend on
-its batch; ``V @ W.T``, ``einsum`` or a contraction over t round differently.
+its batch. An ``einsum`` with no summed index, such as the per-step outer
+product, is allowed, since each entry is one rounded product; ``V @ W.T``,
+a contracting ``einsum`` or a contraction over t round differently.
 """
 
 from __future__ import annotations
@@ -257,7 +259,7 @@ def backward(cache: ForwardCache, labels: np.ndarray) -> np.ndarray:
         dcdh[:, :3] = dc[:, None]
         dcdh[:, 3] = dh
         np.multiply(dcdh.reshape(batch, 4 * h) * f1[t] * f2[t], f3[t], out=dz)
-        d_w += np.multiply(dz[:, :, None], inputs[t][:, None, :], out=outer)
+        d_w += np.einsum("bi,bj->bij", dz, inputs[t], out=outer)
         dh_next = _gemv_rows(net.wh.T, dz)
         dc_next = dc * gf[t]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 import socket
@@ -11,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dpfed import federation
+from dpfed import dpsgd, federation
 from dpfed.data import SynthSpec, synth_generate
 from dpfed.dpsgd import BatchSampler, DpSgdConfig, per_example_gradients
 from dpfed.errors import DecodeError, DpFedError, InvalidValue, ProtocolError, TimedOut
@@ -51,18 +52,18 @@ from test_wire import mutate_frame
 DIMS = NetworkDims(3, 4, 5)
 
 
-def worker_dataset(seed):
+def worker_dataset(seed, frames=5, classes=5):
     spec = SynthSpec(
         feature_dim=3,
-        num_classes=5,
+        num_classes=classes,
         n_speakers=1,
         sequences_per_speaker=4,
-        frames_per_sequence=5,
+        frames_per_sequence=frames,
     )
     return synth_generate(spec, RandomSource(seed))
 
 
-def make_spec(worker_id, noisy=True, budget_eps=1000.0, clip=1.0):
+def make_spec(worker_id, noisy=True, budget_eps=1000.0, clip=1.0, frames=5, classes=5):
     cfg = DpSgdConfig(
         clip_bound=clip,
         step_params=PrivacyParams(0.5, 1e-6),
@@ -74,7 +75,7 @@ def make_spec(worker_id, noisy=True, budget_eps=1000.0, clip=1.0):
     return WorkerSpec(
         worker_id=worker_id,
         dp_config=cfg,
-        dataset=worker_dataset(100 + worker_id),
+        dataset=worker_dataset(100 + worker_id, frames, classes),
         budget=PrivacyParams(budget_eps, 1e-2),
         seed=200 + worker_id,
     )
@@ -178,6 +179,20 @@ def test_session_config_refuses_non_finite_init_parameters(bad):
         session_cfg(1, 2, init_seed=None, init_parameters=params)
 
 
+def test_session_config_keeps_its_own_copy_of_init_parameters():
+    # the config used to build INIT from the caller's array on every use, so
+    # inf written there after construction reached the round driver as an
+    # uncaught InvalidValue
+    params = init_network(DIMS, RandomSource(7)).flatten().copy()
+    cfg = session_cfg(1, 2, init_seed=None, init_parameters=params)
+    params[0] = np.inf
+    assert np.isfinite(cfg.init_parameters).all()
+    result = inproc_session(cfg, [make_spec(0)])
+    from_seed = inproc_session(session_cfg(1, 2), [make_spec(0)])
+    assert result.summary.clean
+    assert np.array_equal(result.networks[0].flatten(), from_seed.networks[0].flatten())
+
+
 def test_second_bind_is_refused_and_leaks_no_socket():
     # a second listening socket used to replace the first, left open
     coord = Coordinator(session_cfg(1, 1))
@@ -263,6 +278,30 @@ def test_inproc_replicas_stay_identical():
     assert all(np.array_equal(flats[0], f) for f in flats[1:])
 
 
+def test_inproc_round_makes_one_gradient_call(monkeypatch):
+    # the replicas hold byte-equal models, so each round's batches share one
+    # call, counted by rebinding dpsgd's name as a profiler would
+    calls = []
+    original = dpsgd.per_example_gradients
+
+    def counting(net, batch):
+        grads = original(net, batch)
+        calls.append(len(grads))
+        return grads
+
+    monkeypatch.setattr(dpsgd, "per_example_gradients", counting)
+    specs = [make_spec(w) for w in range(3)]
+    specs[1].dp_config = dataclasses.replace(specs[1].dp_config, batch_size=3)  # 3, 1, 3, ... of its 4 sequences
+    steps = 5
+    result = inproc_session(session_cfg(3, steps), specs)
+    assert result.summary.clean
+    per_round = np.zeros(steps, dtype=int)
+    for spec in specs:
+        sampler = BatchSampler(spec.dataset.sequences, spec.dp_config.batch_size, RandomSource(spec.seed).derive("batches"))
+        per_round += [len(sampler.next_batch()) for _ in range(steps)]
+    assert calls == list(per_round) == [7, 5, 7, 5, 7]
+
+
 def test_inproc_transcript_shape():
     specs = [make_spec(i) for i in range(3)]
     result = inproc_session(session_cfg(3, 4), specs)
@@ -326,22 +365,36 @@ def test_write_transcript(tmp_path):
     assert first[0] == "recv" and first[2] == "HELLO"
 
 
+_ROOMY = (1000.0, 1000.0, 1000.0)
+
+
 @pytest.mark.parametrize(
-    "budgets",
-    [(1000.0, 1000.0, 1000.0), (1.0, 1000.0, 1000.0), (1000.0, 1.0, 1000.0)],
-    ids=["clean", "worker0-out-of-budget", "worker1-out-of-budget"],
+    "budgets, frames, classes, aborted, steps",
+    [
+        (_ROOMY, (5, 5, 5), (5, 5, 5), None, 5),
+        # a budget of 1.0 affords exactly 2 noisy releases of 0.5
+        ((1.0, 1000.0, 1000.0), (5, 5, 5), (5, 5, 5), ABORT_BUDGET, 2),
+        ((1000.0, 1.0, 1000.0), (5, 5, 5), (5, 5, 5), ABORT_BUDGET, 2),
+        # in process, one merged gradient call holds sequences of two lengths
+        (_ROOMY, (5, 7, 5), (5, 5, 5), None, 5),
+        # worker 1's labels reach past the model's 5 classes, so the merged
+        # call fails and worker 1 alone refuses its step-0 release
+        (_ROOMY, (5, 5, 5), (5, 6, 5), ABORT_PROTOCOL, 0),
+    ],
+    ids=["clean", "worker0-out-of-budget", "worker1-out-of-budget", "mixed-lengths", "worker1-labels-past-classes"],
 )
-def test_tcp_session_matches_inproc_bit_for_bit(budgets):
-    # a budget of 1.0 affords exactly 2 noisy releases of 0.5
-    specs = [make_spec(w, noisy=w != 2, budget_eps=eps) for w, eps in enumerate(budgets)]
+def test_tcp_session_matches_inproc_bit_for_bit(budgets, frames, classes, aborted, steps):
+    specs = [
+        make_spec(w, noisy=w != 2, budget_eps=eps, frames=t, classes=o)
+        for w, (eps, t, o) in enumerate(zip(budgets, frames, classes))
+    ]
     cfg = session_cfg(3, 5)
     local = inproc_session(cfg, specs)
     summary, results, transcript = run_tcp(cfg, specs)
 
-    clean = min(budgets) > 1.0
     assert summary == local.summary
-    assert summary.aborted == (None if clean else ABORT_BUDGET)
-    assert summary.steps_completed == (5 if clean else 2)
+    assert summary.aborted == aborted
+    assert summary.steps_completed == steps
     for wid in (0, 1, 2):
         assert results[wid].aborted == summary.aborted
         assert results[wid].steps_completed == summary.steps_completed
@@ -706,8 +759,8 @@ class _MutatingLink(federation._LocalLink):
     coordinator's cap from a socket that closes after those bytes.
     ``delivered`` is what that read gave the coordinator, None if it raised."""
 
-    def __init__(self, replica, k, rng):
-        super().__init__(replica)
+    def __init__(self, replica, owed, k, rng):
+        super().__init__(replica, owed)
         self._k, self._rng = k, rng
         self.delivered = None
 
@@ -737,10 +790,10 @@ def test_one_mutated_grad_ends_session_cleanly_or_in_abort(monkeypatch):
     local_link = federation._LocalLink
     case = {}
 
-    def link(replica):
+    def link(replica, owed):
         if replica.worker_id != 1:
-            return local_link(replica)
-        case["link"] = _MutatingLink(replica, case["k"], rng)
+            return local_link(replica, owed)
+        case["link"] = _MutatingLink(replica, owed, case["k"], rng)
         return case["link"]
 
     monkeypatch.setattr(federation, "_LocalLink", link)

@@ -7,9 +7,14 @@
 - Every error class but the base is told apart somewhere: another module
   names it in an ``except`` clause or an ``isinstance`` call. A class no
   code reacts to belongs folded into ``InvalidValue``.
+- Every absolute import is of the standard library, ``numpy`` or
+  ``scipy.special``. ``import dpfed`` is part of every start-up, and
+  ``scipy.special`` is already most of its time; a new heavy import would
+  slow every run without any test seeing it.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,3 +85,34 @@ def test_checker_flags_an_error_class_nothing_tells_apart():
 def test_every_error_class_is_told_apart():
     others = [p.read_text() for p in ALL_MODULES if p.name != "errors.py"]
     assert uncaught_errors((SRC / "errors.py").read_text(), others) == []
+
+
+def outside_imports(source: str) -> list[str]:
+    """Absolute imports of anything but the standard library, numpy and scipy.special."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if not (top in sys.stdlib_module_names or top == "numpy" or (name + ".").startswith("scipy.special.")):
+                found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_checker_flags_an_outside_import():
+    source = (
+        "from __future__ import annotations\nimport os.path, numpy as np\nfrom numpy.linalg import norm\n"
+        "from scipy.special import expit\nimport scipy\nfrom scipy import stats\nfrom . import dpsgd\n"
+        "def f():\n    import pandas\n"
+    )
+    assert outside_imports(source) == ["line 5: scipy", "line 6: scipy", "line 9: pandas"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.name for p in ALL_MODULES])
+def test_module_imports_only_stdlib_numpy_and_scipy_special(path):
+    assert outside_imports(path.read_text()) == []
