@@ -5,7 +5,7 @@ budget ledger, ``network`` the from-scratch recurrent classifier,
 ``dpsgd`` the clipped-and-noised gradient releases, ``federation`` the
 synchronous averaging protocol (in-process and over TCP), ``data`` the
 corpus format and synthesizer, ``evaluation`` the accuracy and
-membership-gap probes, and ``experiments`` the end-to-end leakage study.
+speaker-gap probes, and ``experiments`` the end-to-end leakage study.
 """
 
 from .data import Dataset, FeatureSequence, OutlierSpec, SynthSpec, read_dataset, split, synth_generate, write_dataset

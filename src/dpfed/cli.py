@@ -3,7 +3,7 @@
 Subcommands: ``synth`` and ``inspect`` for corpora, ``warm-start`` for
 public pretraining, ``coordinator`` and ``worker`` for a real TCP
 session, ``simulate`` for the same session in one process, and ``eval``
-for accuracy reports and the membership gap probe.
+for accuracy reports and the speaker gap probe.
 
 Every training or synthesis command takes an explicit --seed; there is
 no ambient randomness. Each setting is declared once in ``SETTINGS``
@@ -476,11 +476,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", help="write models, ledgers and transcript here")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("eval", help="accuracy report and membership gap probe")
+    p = sub.add_parser("eval", help="accuracy report and speaker gap probe")
     p.add_argument("--model", required=True, help="model to evaluate")
     p.add_argument("--data", required=True, help="evaluation dataset")
     p.add_argument("--baseline", help="baseline model for the gap probe")
-    p.add_argument("--probe-speaker", type=_as_int, help="speaker id to probe")
+    p.add_argument("--probe-speaker", type=_as_int, help="speaker id for the speaker gap: did the model learn this speaker?")
     p.set_defaults(func=cmd_eval)
 
     return parser

@@ -1,11 +1,11 @@
 """Frame accuracy scoring, per-speaker breakdowns, cross-evaluation tables,
-and the membership gap probe.
+and the speaker gap probe.
 
 Accuracy is per-frame argmax agreement with the label; argmax ties go to
-the lowest class index. The membership probe compares a candidate model
-against a baseline that never saw the probe speaker: a gap of more than
-five percentage points on that speaker's held-out data is flagged as
-leakage.
+the lowest class index. The speaker gap probe compares a candidate model
+with a baseline that never saw the probe speaker, on that speaker's
+held-out data. It shows whether the model learned the speaker, not whether
+it memorised a sequence; a gap of more than five points is flagged.
 """
 
 from __future__ import annotations

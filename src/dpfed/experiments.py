@@ -1,5 +1,5 @@
 """The end-to-end membership experiment: does federated DP training stop a
-model from memorizing an outlier contributor?
+model from learning an outlier contributor's speaker?
 
 Three corpora share one synthetic feature space: a public corpus for
 warm-starting, two ordinary private corpora, and a single outlier speaker
@@ -7,8 +7,9 @@ whose offset sits far from everyone else. A baseline model trains on the
 public corpus only. Two federated sessions then continue from it with the
 private corpora plus the outlier as three workers: an open run (no
 clipping, no noise) and a private run (clipped, noised releases). The
-membership gap of each final model against the baseline on the outlier's
-held-out data is the leakage measure: open training should show a large
+leakage measure is each final model's speaker gap against the baseline on
+the outlier's held-out data, which shows whether it learned that speaker,
+not whether it memorised a sequence: open training should show a large
 gap, private training should not, and private training should hold the
 baseline's in-distribution accuracy.
 """

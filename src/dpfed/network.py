@@ -14,11 +14,11 @@ the 8-byte magic, three u32 little-endian dims, then the vector as float64
 little-endian.
 
 One kernel steps B equal-length sequences at once over time-major (T, B, .)
-arrays. Each matrix-vector product is one gemv per row and weight gradients
-accumulate step by step in reverse t, so a sequence's bits never depend on
-its batch. An ``einsum`` with no summed index, such as the per-step outer
-product, is allowed, since each entry is one rounded product; ``V @ W.T``,
-a contracting ``einsum`` or a contraction over t round differently.
+arrays, and a sequence's bits never depend on its batch. Two kinds of
+product keep that: one gemv per row for each matrix-vector product, and a
+stacked ``matmul`` whose every slice is one sequence contracted over its
+own t, as for the weight gradients. A product that puts two sequences in
+one BLAS call, such as ``V @ W.T`` across the batch, is forbidden.
 """
 
 from __future__ import annotations
@@ -241,7 +241,7 @@ def backward(cache: ForwardCache, labels: np.ndarray) -> np.ndarray:
 
     # dz = ((dcdh * f1) * f2) * f3, dcdh = [dc, dc, dc, dh]: each gate's BPTT
     # product in its usual order (f3 = 1 where the cell candidate has one factor
-    # fewer). One outer product with [x_t, h_{t-1}, 1] accumulates dwx|dwh|db.
+    # fewer). After the loop, dz contracted over t with [x_t, h_{t-1}, 1] is dwx|dwh|db.
     gi, gf, gg, go, tc = cache.gate_i, cache.gate_f, cache.gate_g, cache.gate_o, cache.tanh_cell
     first = np.zeros((1, batch, h))
     f1 = np.concatenate([gg, np.concatenate([first, cache.cell[:-1]]), gi, tc], axis=2)
@@ -250,18 +250,17 @@ def backward(cache: ForwardCache, labels: np.ndarray) -> np.ndarray:
     d_tanh = 1.0 - tc * tc
     h_prev = np.concatenate([first, cache.hidden[:-1]])
     inputs = np.concatenate([cache.frames, h_prev, np.ones((t_len, batch, 1))], axis=2)
-    d_w, outer = np.zeros((batch, 4 * h, inputs.shape[2])), np.empty((batch, 4 * h, inputs.shape[2]))
-    dcdh, dz = np.empty((batch, 4, h)), np.empty((batch, 4 * h))
+    dcdh, dz = np.empty((batch, 4, h)), np.empty((t_len, batch, 4 * h))
     dh_next = dc_next = first[0]
     for t in range(t_len - 1, -1, -1):
         dh = dh_out[t] + dh_next
         dc = dc_next + dh * go[t] * d_tanh[t]
         dcdh[:, :3] = dc[:, None]
         dcdh[:, 3] = dh
-        np.multiply(dcdh.reshape(batch, 4 * h) * f1[t] * f2[t], f3[t], out=dz)
-        d_w += np.einsum("bi,bj->bij", dz, inputs[t], out=outer)
-        dh_next = _gemv_rows(net.wh.T, dz)
+        np.multiply(dcdh.reshape(batch, 4 * h) * f1[t] * f2[t], f3[t], out=dz[t])
+        dh_next = _gemv_rows(net.wh.T, dz[t])
         dc_next = dc * gf[t]
+    d_w = np.matmul(dz.transpose(1, 2, 0), inputs.transpose(1, 0, 2))
 
     grads = np.empty((batch, net.parameter_count))
     parts = {"wx": d_w[:, :, :d], "wh": d_w[:, :, d : d + h], "b": d_w[:, :, d + h], "wo": dwo, "bo": dbo}

@@ -1,7 +1,12 @@
+import hashlib
 import math
+import os
 import random
 import struct
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,12 +204,13 @@ def test_per_example_gradients_order_and_empty():
 
 
 def _reference_gradient(net, frames, labels):
-    """One sequence, one frame at a time: the literal per-timestep LSTM.
+    """One sequence, one frame at a time: the literal per-timestep LSTM,
+    with each weight gradient one 2-D product over the sequence's rows.
 
     Returns (logits, flat gradient). The batched kernel must reproduce
     these bits exactly, whatever else shares the batch.
     """
-    h, t_len = net.dims.hidden_dim, len(frames)
+    d, h, t_len = net.dims.input_dim, net.dims.hidden_dim, len(frames)
     gi, gf, gg, go, cell, hidden, tanh_c = (np.empty((t_len, h)) for _ in range(7))
     logits = np.empty((t_len, net.dims.output_dim))
     h_prev = c_prev = np.zeros(h)
@@ -222,14 +228,13 @@ def _reference_gradient(net, frames, labels):
     d_logits[np.arange(t_len), labels] -= 1.0
     d_logits /= t_len
     dwo, dbo = d_logits.T @ hidden, d_logits.sum(axis=0)
-    dwx, dwh, db = np.zeros_like(net.wx), np.zeros_like(net.wh), np.zeros(4 * h)
+    dz_rows = np.empty((t_len, 4 * h))
     dh_next = dc_next = np.zeros(h)
     for t in range(t_len - 1, -1, -1):
         c_prev = cell[t - 1] if t > 0 else np.zeros(h)
-        h_prev = hidden[t - 1] if t > 0 else np.zeros(h)
         dh = net.wo.T @ d_logits[t] + dh_next
         dc = dc_next + dh * go[t] * (1.0 - tanh_c[t] * tanh_c[t])
-        dz = np.concatenate(
+        dz_rows[t] = np.concatenate(
             [
                 dc * gg[t] * gi[t] * (1.0 - gi[t]),
                 dc * c_prev * gf[t] * (1.0 - gf[t]),
@@ -237,11 +242,11 @@ def _reference_gradient(net, frames, labels):
                 dh * tanh_c[t] * go[t] * (1.0 - go[t]),
             ]
         )
-        dwx += np.outer(dz, frames[t])
-        dwh += np.outer(dz, h_prev)
-        db += dz
-        dh_next = net.wh.T @ dz
+        dh_next = net.wh.T @ dz_rows[t]
         dc_next = dc * gf[t]
+    h_prevs = np.concatenate([np.zeros((1, h)), hidden[:-1]])
+    d_w = dz_rows.T @ np.concatenate([frames, h_prevs, np.ones((t_len, 1))], axis=1)
+    dwx, dwh, db = d_w[:, :d], d_w[:, d : d + h], d_w[:, -1]
     return logits, np.concatenate([dwx.ravel(), dwh.ravel(), db, dwo.ravel(), dbo])
 
 
@@ -264,6 +269,46 @@ def test_batched_kernel_matches_per_timestep_reference_bit_for_bit(dims):
                 assert grads[b].tobytes() == ref_grad.tobytes(), (batch_size, t_len, b)
                 assert logits[:, b].tobytes() == ref_logits.tobytes(), (batch_size, t_len, b)
                 assert forward(net, frames)[0].tobytes() == ref_logits.tobytes()
+
+
+_GRADIENT_DIGEST = """
+import hashlib, sys
+import numpy as np
+from dpfed.network import Network, per_example_gradients
+with np.load(sys.argv[2]) as batch:
+    grads = per_example_gradients(Network.load(sys.argv[1]), list(zip(batch["frames"], batch["labels"])))
+print(hashlib.sha256(np.array(grads).tobytes()).hexdigest())
+"""
+
+
+def test_long_sequence_gradients_do_not_depend_on_batch_or_blas_threads(tmp_path):
+    """The weight-gradient contraction sums over t, so its inner dimension
+    grows with T, and at T = 200 one slice is a 64 x 200 x 30 product that a
+    threaded BLAS may split. A sequence's bytes must still be the same alone
+    as at any position of its batch, and with one BLAS thread as with two."""
+    d, _, o = dims = (13, 16, 32)
+    rng = RandomSource(31)
+    net = init_network(NetworkDims(*dims), rng.derive("net"))
+    frames = rng.derive("x").normals((64, 200, d)) * 2.0
+    labels = (rng.derive("y").uniforms(64 * 200) * o).astype(np.int64).reshape(64, 200)
+    grads = np.array(per_example_gradients(net, list(zip(frames, labels))))
+    for b in (0, 17, 63):
+        assert grads[b].tobytes() == sequence_gradient(net, frames[b], labels[b]).tobytes(), b
+
+    net.save(tmp_path / "net.bin")
+    np.savez(tmp_path / "batch.npz", frames=frames, labels=labels)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _GRADIENT_DIGEST, str(tmp_path / "net.bin"), str(tmp_path / "batch.npz")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests == [hashlib.sha256(grads.tobytes()).hexdigest()] * 2
 
 
 def test_per_example_gradients_mixed_lengths_and_bad_items(monkeypatch):
