@@ -9,7 +9,7 @@ speaker-gap probes, and ``experiments`` the end-to-end leakage study.
 """
 
 from .data import Dataset, FeatureSequence, OutlierSpec, SynthSpec, read_dataset, split, synth_generate, write_dataset
-from .dpsgd import DpSgdConfig, dp_gradient_release, train_step, warm_start
+from .dpsgd import DpSgdConfig, dp_gradient_release, warm_start
 from .evaluation import EvalReport, GapProbe, accuracy, cross_evaluate, membership_gap
 from .experiments import MembershipConfig, MembershipResult, run_membership_experiment
 from .federation import Coordinator, SessionConfig, WorkerSpec, inproc_session, worker_run
@@ -65,7 +65,6 @@ __all__ = [
     "sequence_gradient",
     "split",
     "synth_generate",
-    "train_step",
     "warm_start",
     "worker_run",
     "write_dataset",

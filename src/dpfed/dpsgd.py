@@ -1,5 +1,5 @@
-"""Per-example clipped, noised gradient releases and the training loops
-built on them.
+"""Per-example clipped, noised gradient releases, and the non-private
+warm start.
 
 One release: clip every per-sequence gradient to L2 norm C, average the
 clipped gradients over the batch, then add i.i.d. Gaussian noise per
@@ -17,8 +17,8 @@ size would tell the coordinator how many sequences the worker holds, so
 none of them leaves the worker. (The calibrated sigma still depends on
 the actual batch size; that side channel is left to a fixed denominator.)
 
-``warm_start`` is the same loop with no clipping and no noise: plain
-mini-batch gradient descent on the mean per-example gradient.
+``warm_start`` trains with no clipping and no noise: plain mini-batch
+gradient descent on the mean per-example gradient.
 """
 
 from __future__ import annotations
@@ -125,27 +125,6 @@ def dp_gradient_release(
     new_ledger = compose(ledger, f"release step {step_id}", cfg.step_params)
     acc = acc + rng.normals(n) * noise_sigma(cfg, len(clipped))
     return Grad(step_id, acc, cfg.step_params), new_ledger
-
-
-def train_step(
-    net: Network,
-    batch: Sequence,
-    cfg: DpSgdConfig,
-    ledger: AccountLedger,
-    rng: RandomSource,
-    step_id: int,
-) -> tuple[Grad, AccountLedger]:
-    """Per-example gradients for the batch, then one private release."""
-    grads = per_example_gradients(net, batch)
-    return dp_gradient_release(grads, cfg, ledger, rng, step_id)
-
-
-def batch_gradients(net: Network, batches: Sequence[Sequence]) -> list[list[np.ndarray]]:
-    """``per_example_gradients`` of each batch, from one call over all of
-    them; the kernel gives each sequence the same bits in any batch."""
-    grads = per_example_gradients(net, [item for batch in batches for item in batch])
-    ends = np.cumsum([len(batch) for batch in batches])
-    return [grads[end - len(batch) : end] for batch, end in zip(batches, ends)]
 
 
 class BatchSampler:

@@ -53,15 +53,6 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def predict_labels(net: Network, frames: np.ndarray) -> np.ndarray:
-    """Per-frame argmax class; ties resolve to the lowest index.
-
-    ``frames`` is one sequence (T, d) or B equal-length sequences (T, B, d).
-    """
-    logits, _ = forward(net, frames)
-    return np.argmax(logits, axis=-1)
-
-
 def accuracy(net: Network, dataset: Dataset) -> EvalReport:
     """Score every frame of the dataset, in batches of up to EVAL_CHUNK equal-length sequences.
 
@@ -83,7 +74,8 @@ def accuracy(net: Network, dataset: Dataset) -> EvalReport:
     for group in by_length.values():
         for start in range(0, len(group), EVAL_CHUNK):
             chunk = group[start : start + EVAL_CHUNK]
-            preds = predict_labels(net, np.stack([seq.frames for seq in chunk], axis=1))
+            logits, _ = forward(net, np.stack([seq.frames for seq in chunk], axis=1))
+            preds = np.argmax(logits, axis=-1)  # argmax ties go to the lowest class
             for seq, seq_preds in zip(chunk, preds.T):
                 bucket = per_speaker.setdefault(seq.speaker_id, [0, 0])
                 bucket[0] += seq.n_frames

@@ -12,10 +12,12 @@ and ``recv() -> (msg, payload bytes)``: in memory for ``inproc_session``,
 a TCP :class:`MessageStream` for the ``Coordinator`` / ``worker_run``
 pair. Averages are summed in ascending worker id order and releases
 travel as exact float64 bytes, so both transports produce bit-identical
-models, ledgers and transcripts for the same seeds. In memory, replicas
-on byte-equal models share one per-example gradient call per round; the
-kernel gives each sequence the same bits in any batch, so that changes
-no release.
+models, ledgers and transcripts for the same seeds. One routine,
+``release_round``, computes every worker's release on both transports:
+a TCP worker passes it its one replica, the in-memory links all the
+replicas a round owes. Replicas on byte-equal models share one
+per-example gradient call; the kernel gives each sequence the same bits
+in any batch, so that changes no release.
 """
 
 from __future__ import annotations
@@ -135,8 +137,8 @@ class WorkerReplica:
     Batch order and noise come from streams derived from the worker seed
     by fixed keys, so a replica's behaviour depends only on (spec, INIT),
     never on transport timing. Each round has three steps: ``accept`` the
-    INIT or AVG, draw a batch with ``next_batch``, and ``release`` its
-    per-example gradients. ``reply`` runs them back to back.
+    INIT or AVG, draw a batch with ``next_batch``, and ``make_release``
+    from its per-example gradients; ``release_round`` runs the last two.
     """
 
     def __init__(self, spec: WorkerSpec):
@@ -177,7 +179,7 @@ class WorkerReplica:
     def next_batch(self) -> list:
         return self._sampler.next_batch()
 
-    def release(self, grads: Sequence[np.ndarray]) -> Grad:
+    def make_release(self, grads: Sequence[np.ndarray]) -> Grad:
         """The current step's private release of its batch's per-example
         gradients; BudgetExceeded propagates with state intact."""
         release, self.ledger = dpsgd.dp_gradient_release(
@@ -185,25 +187,42 @@ class WorkerReplica:
         )
         return release
 
-    def make_release(self) -> Grad:
-        """``release`` of a new batch, gradients and all."""
-        return self.release(dpsgd.per_example_gradients(self.net, self.next_batch()))
-
     def apply_average(self, avg: Avg) -> None:
         if not np.all(np.isfinite(avg.vector)):
             raise ProtocolError(f"AVG {avg.step_id} holds non-finite values")
         self.net = apply_update(self.net, avg.vector, self.learning_rate)
 
-    def reply(self, msg: Message) -> Message | None:
-        """The worker's answer to INIT or the current step's AVG: the next
-        GRAD, or nothing after the last step. Any other message, and any
-        fault while applying or releasing, is answered with an ABORT.
-        """
+
+def release_round(replicas: Sequence[WorkerReplica]) -> list[Message]:
+    """Each replica's release for its current step, in the order given:
+    its GRAD, or the ABORT its fault calls for.
+
+    Replicas draw their batches in that order. Those on byte-equal models
+    (all of them, in a clean in-process session) share one per-example
+    gradient call over their batches in that order; a replica alone, or
+    one whose shared call raised, gets a call of its own, so a fault lands
+    on the worker whose batch caused it. Each then releases its own
+    gradients with its own clip bound, noise stream and ledger.
+    """
+    batches = [r.next_batch() for r in replicas]
+    groups: dict[bytes, list[int]] = {}
+    for i, r in enumerate(replicas):
+        groups.setdefault(r.net.parameters.tobytes(), []).append(i)
+    grads: list = [None] * len(replicas)
+    for members in (m for m in groups.values() if len(m) > 1):
         try:
-            self.accept(msg)
-            return self.make_release() if self.owes_release else None
+            shared = dpsgd.per_example_gradients(replicas[members[0]].net, [x for i in members for x in batches[i]])
+        except DpFedError:
+            continue
+        for i in members:
+            grads[i], shared = shared[: len(batches[i])], shared[len(batches[i]) :]
+    answers: list[Message] = []
+    for r, batch, g in zip(replicas, batches, grads):
+        try:
+            answers.append(r.make_release(dpsgd.per_example_gradients(r.net, batch) if g is None else g))
         except DpFedError as exc:
-            return _abort(exc)
+            answers.append(_abort(exc))
+    return answers
 
 
 def average_releases(releases: Sequence[Grad]) -> np.ndarray:
@@ -354,10 +373,10 @@ def _run_rounds(
 class _LocalLink:
     """In-memory link to a replica. It accepts (or refuses) each INIT or AVG
     at once, just as a TCP worker does, and joins ``owed`` when that calls
-    for a release. The round's first read computes the releases of every
-    link in ``owed`` together (``_release_owed``), so replies queue up in
-    the same order as over TCP, and every replica releases its step
-    whichever worker's reply ends the round."""
+    for a release. The round's first read passes the owed replicas, in
+    worker id order, to ``release_round``, so replies queue up in the same
+    order as over TCP, and every replica releases its step whichever
+    worker's reply ends the round."""
 
     def __init__(self, replica: WorkerReplica, owed: list["_LocalLink"]):
         self.replica = replica
@@ -377,43 +396,12 @@ class _LocalLink:
 
     def recv(self) -> tuple[Message, int]:
         if self._owed:
-            _release_owed(self._owed)
+            links = sorted(self._owed, key=lambda link: link.replica.worker_id)
+            self._owed.clear()
+            for link, answer in zip(links, release_round([link.replica for link in links])):
+                link.outbox.append(answer)
         msg = self.outbox.pop(0)
         return msg, len(encode(msg)) - HEADER_LEN
-
-
-def _release_owed(owed: list[_LocalLink]) -> None:
-    """Queue each owed link's release, and empty ``owed``.
-
-    Replicas draw their batches in worker id order; those whose models are
-    byte-equal (all of them, in a clean session) share one per-example
-    gradient call over their batches in that order, and each releases its
-    own slice with its own clip bound, noise stream and ledger. If a shared
-    call raises, its replicas recompute one by one in worker id order, so
-    the fault lands on the worker whose batch caused it, as it would over
-    TCP.
-    """
-    links = sorted(owed, key=lambda link: link.replica.worker_id)
-    owed.clear()
-    batches = [link.replica.next_batch() for link in links]
-    groups: dict[bytes, list[int]] = {}
-    for i, link in enumerate(links):
-        groups.setdefault(link.replica.net.parameters.tobytes(), []).append(i)
-    grads: list = [None] * len(links)
-    for members in groups.values():
-        try:
-            shared = dpsgd.batch_gradients(links[members[0]].replica.net, [batches[i] for i in members])
-        except DpFedError:
-            continue
-        for i, g in zip(members, shared):
-            grads[i] = g
-    for link, batch, g in zip(links, batches, grads):
-        try:
-            if g is None:
-                g = dpsgd.per_example_gradients(link.replica.net, batch)
-            link.outbox.append(link.replica.release(g))
-        except DpFedError as exc:
-            link.outbox.append(_abort(exc))
 
 
 def inproc_session(
@@ -425,10 +413,10 @@ def inproc_session(
 
     Runs the round driver and replica code the TCP path uses, over
     in-memory links, and records the same coordinator-side transcript.
-    A link accepts each INIT or AVG at once; the replicas' releases are
-    computed at the round's first read, with one shared gradient call for
-    replicas on byte-equal models. ``on_round`` sees the per-worker
-    networks after every applied average.
+    A link accepts each INIT or AVG at once; the round's first read
+    computes the replicas' releases with one ``release_round`` call, which
+    makes one shared gradient call for replicas on byte-equal models.
+    ``on_round`` sees the per-worker networks after every applied average.
     """
     if len(specs) != cfg.n_workers:
         raise InvalidValue(f"config says {cfg.n_workers} workers, got {len(specs)} specs")
@@ -648,7 +636,12 @@ def worker_run(
         stream.max_payload = max(avg_payload_size(msg.dims), MessageStream._CHUNK)
         total = msg.total_steps
         while not (isinstance(msg, Abort) or isinstance(msg, Done) and replica.steps_completed == total):
-            answer = replica.reply(msg)
+            try:
+                replica.accept(msg)
+            except DpFedError as exc:
+                answer = _abort(exc)
+            else:
+                answer = release_round([replica])[0] if replica.owes_release else None
             if answer is not None:
                 stream.send(answer)
             if isinstance(answer, Abort):

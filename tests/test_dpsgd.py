@@ -10,7 +10,6 @@ from dpfed.dpsgd import (
     dp_gradient_release,
     l2_clip,
     noise_sigma,
-    train_step,
     warm_start,
 )
 from dpfed.network import NetworkDims, apply_update, forward, init_network, loss, per_example_gradients
@@ -135,19 +134,6 @@ def test_release_errors():
         dp_gradient_release([], cfg, ledger, rng, 0)
     with pytest.raises(InvalidValue, match="per-example gradients must all have the same length"):
         dp_gradient_release([np.ones(3), np.ones(4)], cfg, ledger, rng, 0)
-
-
-def test_train_step_matches_manual_pipeline():
-    rng = RandomSource(40)
-    net = init_network(NetworkDims(3, 4, 5), rng.derive("net"))
-    batch = [(rng.derive("x", i).normals((5, 3)), np.arange(5) % 5) for i in range(3)]
-    cfg = make_cfg(noisy=False, batch_size=3)
-    ledger = AccountLedger(PrivacyParams(10.0, 1e-3))
-    release, _ = train_step(net, batch, cfg, ledger, RandomSource(1), 7)
-    grads = per_example_gradients(net, batch)
-    manual, _ = dp_gradient_release(grads, cfg, ledger, RandomSource(1), 7)
-    assert release == manual
-    assert release.step_id == 7
 
 
 def test_batch_sampler_covers_each_epoch():

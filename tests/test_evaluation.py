@@ -10,9 +10,8 @@ from dpfed.evaluation import (
     accuracy,
     cross_evaluate,
     membership_gap,
-    predict_labels,
 )
-from dpfed.network import Network, NetworkDims, init_network
+from dpfed.network import Network, NetworkDims, forward, init_network
 from dpfed.rng import RandomSource
 
 
@@ -131,7 +130,8 @@ def test_accuracy_mixed_lengths_matches_per_sequence_predictions():
         hits = {spk: 0 for spk in range(3)}
         frames_seen = {spk: 0 for spk in range(3)}
         for seq in seqs:
-            hits[seq.speaker_id] += int((predict_labels(net, seq.frames) == seq.labels).sum())
+            preds = np.argmax(forward(net, seq.frames)[0], axis=-1)  # one sequence at a time
+            hits[seq.speaker_id] += int((preds == seq.labels).sum())
             frames_seen[seq.speaker_id] += seq.n_frames
         assert [(s.speaker_id, s.n_frames, s.n_correct) for s in report.speakers] == [
             (spk, frames_seen[spk], hits[spk]) for spk in range(3)
@@ -139,11 +139,12 @@ def test_accuracy_mixed_lengths_matches_per_sequence_predictions():
         assert (report.n_frames, report.n_correct) == (sum(frames_seen.values()), sum(hits.values()))
 
 
-def test_predict_labels_tie_breaks_low():
+def test_accuracy_tie_breaks_low():
+    # the zero network ties every class on every frame, so it predicts 0
     dims = NetworkDims(2, 3, 4)
-    net = zero_network(dims)
-    pred = predict_labels(net, np.ones((5, 2)))
-    assert pred.tolist() == [0, 0, 0, 0, 0]
+    seqs = tuple(FeatureSequence(0, np.ones((5, 2)), np.full(5, label)) for label in (0, 1))
+    report = accuracy(zero_network(dims), Dataset(2, 4, seqs))
+    assert (report.n_frames, report.n_correct) == (10, 5)
 
 
 def test_membership_gap_identity_is_zero():

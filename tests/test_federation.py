@@ -302,6 +302,29 @@ def test_inproc_round_makes_one_gradient_call(monkeypatch):
     assert calls == list(per_round) == [7, 5, 7, 5, 7]
 
 
+@pytest.mark.parametrize(
+    "classes, steps, calls_each", [((5, 5, 5), 5, 5), ((5, 6, 5), 0, 1)], ids=["clean", "worker1-labels-past-classes"]
+)
+def test_tcp_worker_makes_one_gradient_call_per_round(monkeypatch, classes, steps, calls_each):
+    # a TCP worker is a group of one: one call per round it releases, and
+    # worker 1's failing step-0 call is not made a second time
+    specs = [make_spec(w, noisy=w != 2, classes=o) for w, o in enumerate(classes)]
+    owner = {id(seq): spec.worker_id for spec in specs for seq in spec.dataset.sequences}
+    calls = Counter()
+    lock = threading.Lock()
+    original = dpsgd.per_example_gradients
+
+    def counting(net, batch):
+        with lock:
+            calls[owner[id(batch[0])]] += 1
+        return original(net, batch)
+
+    monkeypatch.setattr(dpsgd, "per_example_gradients", counting)
+    summary, _, _ = run_tcp(session_cfg(3, 5), specs)
+    assert summary.steps_completed == steps
+    assert dict(calls) == {0: calls_each, 1: calls_each, 2: calls_each}
+
+
 def test_inproc_transcript_shape():
     specs = [make_spec(i) for i in range(3)]
     result = inproc_session(session_cfg(3, 4), specs)

@@ -11,6 +11,9 @@
   ``scipy.special``. ``import dpfed`` is part of every start-up, and
   ``scipy.special`` is already most of its time; a new heavy import would
   slow every run without any test seeing it.
+- Every name in ``dpfed.__all__`` is used besides where it is defined: in
+  another part of the library, a demo or the benchmark. Exported API that
+  only tests call is code to delete, not to keep.
 """
 
 import ast
@@ -19,7 +22,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "dpfed"
+import dpfed
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "dpfed"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 ALL_MODULES = sorted(SRC.glob("*.py"))
 
@@ -116,3 +122,25 @@ def test_checker_flags_an_outside_import():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=[p.name for p in ALL_MODULES])
 def test_module_imports_only_stdlib_numpy_and_scipy_special(path):
     assert outside_imports(path.read_text()) == []
+
+
+def unused_exports(names: list[str], sources: list[str]) -> list[str]:
+    """The names no source refers to; a definition is not a reference."""
+    used = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [name for name in names if name not in used]
+
+
+def test_checker_flags_an_export_nothing_uses():
+    sources = ["def f():\n    return g()\n\ndef g():\n    pass\n\nclass C:\n    pass\n", "import m\nfrom m import k\nm.h(1)\n"]
+    assert unused_exports(["f", "g", "h", "k", "C"], sources) == ["f", "k", "C"]
+
+
+def test_every_export_is_used_outside_tests():
+    users = MODULES + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    assert unused_exports(dpfed.__all__, [p.read_text() for p in users]) == []
