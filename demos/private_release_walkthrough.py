@@ -6,6 +6,10 @@ What a worker actually sends: per-example gradients are clipped to a
 fixed L2 bound, averaged in a fixed order, charged to the ledger, and
 only then noised. The clip bound is what makes the privacy claim about
 the release independent of how wild any single sequence is.
+
+``noise_override`` sets the noise: unset, sigma is calibrated to the
+step (epsilon, delta); 0 releases the exact clipped mean and charges
+nothing; any sigma > 0 is used as given and charges the step.
 """
 
 import numpy as np
@@ -50,16 +54,17 @@ print(f"released vector norm {np.linalg.norm(release.vector):.3f} "
 print(f"ledger after one release: spent eps={ledger.spent.epsilon:g} "
       f"delta={ledger.spent.delta:g}")
 
-# the same batch without noise, for contrast
+# the same batch without noise, for contrast: a zero override adds none
+# and charges nothing, so it needs no step (epsilon, delta) either
 open_cfg = DpSgdConfig(
     clip_bound=1e9,
     step_params=PrivacyParams(1.0, 0.0),
     learning_rate=1e-4,
     batch_size=len(batch),
-    noisy=False,
+    noise_override=0.0,
 )
 open_release, ledger = dp_gradient_release(
     per_example, open_cfg, ledger, rng.derive("noise2"), step_id=1
 )
-print(f"\nnon-noisy release norm {np.linalg.norm(open_release.vector):.3f}, "
+print(f"\nnoiseless release norm {np.linalg.norm(open_release.vector):.3f}, "
       f"spends ({open_release.spent.epsilon:g}, {open_release.spent.delta:g})")

@@ -87,15 +87,6 @@ def _as_seconds(text: str) -> float:
     return value
 
 
-def _as_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
-
-
 def _as_addr(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep or not host:
@@ -117,7 +108,6 @@ SETTINGS = {
     "dp.delta_step": Setting("delta_step", _as_float, "1e-6"),
     "dp.clip": Setting("clip", _as_float, "1"),
     "dp.noise_override": Setting("noise_override", _as_float, None),
-    "dp.noisy": Setting("noisy", _as_bool, "true"),
     "train.lr": Setting("lr", _as_float, "1e-4"),
     "train.batch": Setting("batch", _as_int, "4"),
     "train.epochs": Setting("epochs", _as_int, "51"),
@@ -196,7 +186,6 @@ def _dp_config(ns) -> DpSgdConfig:
         learning_rate=ns.lr,
         batch_size=ns.batch,
         noise_override=ns.noise_override,
-        noisy=ns.noisy,
     )
 
 
@@ -452,8 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     _flag(p, "dp.epsilon_step", "--epsilon-step", "per-release epsilon (default {})")
     _flag(p, "dp.delta_step", "--delta-step", "per-release delta (default {})")
     _flag(p, "dp.clip", "--clip", "L2 clip bound (default {})")
-    _flag(p, "dp.noise_override", "--noise-override", "noise sigma override")
-    _flag(p, "dp.noisy", "--noisy", "true for private releases (default {})")
+    _flag(p, "dp.noise_override", "--noise-override",
+          "noise sigma per release; 0 adds none and spends nothing (unset: calibrated to the step)")
     _flag(p, "train.batch", "--batch", "batch size (default {})")
     p.add_argument("--out", help="write the final model here")
     p.add_argument("--ledger", help="write the ledger report here")

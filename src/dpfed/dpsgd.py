@@ -3,18 +3,19 @@ warm start.
 
 One release: clip every per-sequence gradient to L2 norm C, average the
 clipped gradients over the batch, then add i.i.d. Gaussian noise per
-coordinate. The noise level comes from the mean's sensitivity, C/B when
-adjacent batches differ by one added or removed sequence, at the
-configured per-step (epsilon, delta), unless ``noise_override`` pins a
-positive sigma directly; a noisy release never has sigma 0. Either way a
-noisy release is charged its step (epsilon, delta), both positive, since
+coordinate. ``noise_override`` alone sets the noise. Unset, sigma comes
+from the mean's sensitivity, C/B when adjacent batches differ by one
+added or removed sequence, at the configured per-step (epsilon, delta),
+and a config whose sigma would round to 0 is refused. At 0 the release
+has no noise and charges nothing; above 0, that sigma is used. A noisy
+release is charged its step (epsilon, delta), both positive, since
 Gaussian noise never gives a pure-epsilon guarantee. The charge is made
 before any noise is drawn; a refused charge emits nothing.
 
 The release is a ``wire.Grad``: step, vector and spend, and nothing more.
-Clip bound and noisiness are the worker's own settings, and the batch
-size would tell the coordinator how many sequences the worker holds, so
-none of them leaves the worker. (The calibrated sigma still depends on
+Clip bound and noise are the worker's own settings, and the batch size
+would tell the coordinator how many sequences the worker holds, so none
+of them leaves the worker. (The calibrated sigma still depends on
 the actual batch size; that side channel is left to a fixed denominator.)
 
 ``warm_start`` trains with no clipping and no noise: plain mini-batch
@@ -45,7 +46,6 @@ class DpSgdConfig:
     learning_rate: float
     batch_size: int
     noise_override: float | None = None
-    noisy: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.clip_bound) and self.clip_bound > 0.0):
@@ -54,15 +54,13 @@ class DpSgdConfig:
             raise InvalidValue(f"learning rate must be finite and positive, got {self.learning_rate}")
         if not isinstance(self.batch_size, int) or self.batch_size < 1:
             raise InvalidValue(f"batch size must be a positive integer, got {self.batch_size}")
-        if self.noise_override is not None and not (
-            math.isfinite(self.noise_override) and self.noise_override > 0.0
-        ):
-            raise InvalidValue(
-                f"noise override must be finite and positive, got {self.noise_override}"
-                " (noisy = false releases without noise)"
-            )
-        if self.noisy and not (self.step_params.epsilon > 0.0 and self.step_params.delta > 0.0):
+        if self.noise_override is not None and not 0.0 <= self.noise_override < math.inf:
+            raise InvalidValue(f"noise override must be finite and >= 0, got {self.noise_override}")
+        if self.noise_override != 0.0 and not (self.step_params.epsilon > 0.0 and self.step_params.delta > 0.0):
             raise InvalidValue("Gaussian noise needs step epsilon > 0 and delta > 0")
+        # checked at the configured batch size: sigma only grows as a batch falls short of it
+        if self.noise_override is None and gaussian_sigma(self.clip_bound / self.batch_size, self.step_params) == 0.0:
+            raise InvalidValue(f"calibrated noise sigma at clip bound {self.clip_bound} rounds to 0")
 
 
 def fixed_order_mean(vectors: Sequence[np.ndarray]) -> np.ndarray:
@@ -89,8 +87,6 @@ def l2_clip(grad: np.ndarray, clip_bound: float) -> np.ndarray:
 
 def noise_sigma(cfg: DpSgdConfig, batch_size: int) -> float:
     """The Gaussian sigma a release with this config and batch size will use."""
-    if not cfg.noisy:
-        return 0.0
     if cfg.noise_override is not None:
         return cfg.noise_override
     return gaussian_sigma(cfg.clip_bound / batch_size, cfg.step_params)
@@ -120,7 +116,7 @@ def dp_gradient_release(
         clipped.append(c)
     acc = fixed_order_mean(clipped)
 
-    if not cfg.noisy:
+    if cfg.noise_override == 0.0:
         return Grad(step_id, acc, ZERO_SPEND), ledger
     new_ledger = compose(ledger, f"release step {step_id}", cfg.step_params)
     acc = acc + rng.normals(n) * noise_sigma(cfg, len(clipped))

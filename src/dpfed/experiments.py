@@ -196,7 +196,7 @@ def run_membership_experiment(cfg: MembershipConfig) -> MembershipResult:
         step_params=PrivacyParams(cfg.step_epsilon, cfg.step_delta),
         learning_rate=cfg.fed_lr,
         batch_size=cfg.fed_batch,
-        noisy=False,
+        noise_override=0.0,
     )
     dp_cfg = DpSgdConfig(
         clip_bound=cfg.clip_bound,
@@ -204,7 +204,6 @@ def run_membership_experiment(cfg: MembershipConfig) -> MembershipResult:
         learning_rate=cfg.fed_lr,
         batch_size=cfg.fed_batch,
         noise_override=cfg.noise_sigma,
-        noisy=True,
     )
     open_model, _ = _session(cfg, "open", baseline, worker_data, open_cfg, root)
     dp_model, dp_steps = _session(cfg, "dp", baseline, worker_data, dp_cfg, root)

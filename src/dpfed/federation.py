@@ -127,8 +127,18 @@ class WorkerSpec:
             raise InvalidValue("worker id must fit in u32")
 
 
-def _abort(exc: DpFedError) -> Abort:
-    return Abort(ABORT_BUDGET if isinstance(exc, BudgetExceeded) else ABORT_PROTOCOL, str(exc))
+# the ABORT code for each kind of fault; any other fault is ABORT_PROTOCOL
+_ABORT_CODES = (
+    (BudgetExceeded, ABORT_BUDGET),
+    (TimedOut, ABORT_TIMEOUT),
+    ((DecodeError, TransportError), ABORT_DECODE),
+)
+
+
+def _abort(exc: DpFedError, reason: str | None = None) -> Abort:
+    """The ABORT that ``exc`` calls for, giving ``reason``, else the error's text."""
+    code = next((code for kinds, code in _ABORT_CODES if isinstance(exc, kinds)), ABORT_PROTOCOL)
+    return Abort(code, str(exc) if reason is None else reason)
 
 
 class WorkerReplica:
@@ -338,9 +348,9 @@ def _run_rounds(
     ledgers = {wid: AccountLedger(_ANY_VALID_SPEND) for wid in wids}
     steps_completed = 0
 
-    def finish(aborted: int | None, reason: str = "") -> SessionSummary:
-        msg = Done(steps_completed) if aborted is None else Abort(aborted, reason)
-        _broadcast(links, msg, transcript)
+    def finish(abort: Abort | None) -> SessionSummary:
+        _broadcast(links, Done(steps_completed) if abort is None else abort, transcript)
+        aborted = None if abort is None else abort.code
         return SessionSummary(steps_completed, aborted, {wid: l.spent for wid, l in ledgers.items()})
 
     _broadcast(links, cfg.init_message(), transcript)
@@ -350,17 +360,17 @@ def _run_rounds(
         for wid in wids:
             try:
                 msg, size = links[wid].recv()
-            except TimedOut:
-                return finish(ABORT_TIMEOUT, f"worker {wid} timed out")
+            except TimedOut as exc:
+                return finish(_abort(exc, f"worker {wid} timed out"))
             except (DecodeError, TransportError) as exc:
-                return finish(ABORT_DECODE, f"worker {wid}: {exc}")
+                return finish(_abort(exc, f"worker {wid}: {exc}"))
             transcript.append(_entry("recv", wid, msg, size))
             if isinstance(msg, Abort):
-                return finish(msg.code, f"relayed from worker {wid}")
+                return finish(Abort(msg.code, f"relayed from worker {wid}"))
             try:
                 staged[wid] = _charge_grad(msg, step, cfg.dims, ledgers[wid])
             except ProtocolError as exc:
-                return finish(ABORT_PROTOCOL, f"worker {wid} {exc}")
+                return finish(_abort(exc, f"worker {wid} {exc}"))
             releases.append(msg)
         _broadcast(links, Avg(step, average_releases(releases)), transcript)
         ledgers.update(staged)
@@ -571,8 +581,7 @@ class Coordinator:
                 _admit(streams[-1], streams[-1].recv(deadline), links, self.transcript)
         except DpFedError as exc:
             # tell the workers already admitted why no INIT will come
-            code = ABORT_TIMEOUT if isinstance(exc, TimedOut) else ABORT_PROTOCOL
-            _broadcast(links, Abort(code, str(exc)), self.transcript)
+            _broadcast(links, _abort(exc), self.transcript)
             raise
         else:
             return _run_rounds(cfg, links, self.transcript)
@@ -649,10 +658,8 @@ def worker_run(
                 continue
             try:
                 msg, _ = stream.recv()
-            except TimedOut:
-                msg = Abort(ABORT_TIMEOUT)
-            except (DecodeError, TransportError):
-                msg = Abort(ABORT_DECODE)
+            except (TimedOut, DecodeError, TransportError) as exc:
+                msg = _abort(exc)
         return WorkerResult(
             worker_id=spec.worker_id,
             network=replica.net,

@@ -148,7 +148,6 @@ class ForwardCache:
     cell: np.ndarray  # (T, B, h)
     hidden: np.ndarray  # (T, B, h)
     tanh_cell: np.ndarray  # (T, B, h)
-    logits: np.ndarray  # (T, B, o)
     probs: np.ndarray  # (T, B, o) softmax rows
 
 
@@ -191,7 +190,7 @@ def forward(net: Network, frames: np.ndarray) -> tuple[np.ndarray, ForwardCache]
         h_prev, c_prev = hidden[t], cell[t]
     logits = (_gemv_rows(net.wo, hidden.reshape(t_len * batch, h)) + net.bo).reshape(t_len, batch, o)
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    cache = ForwardCache(net, x, gi, gf, gg, go, cell, hidden, tanh_c, logits, e / e.sum(axis=-1, keepdims=True))
+    cache = ForwardCache(net, x, gi, gf, gg, go, cell, hidden, tanh_c, e / e.sum(axis=-1, keepdims=True))
     return (logits[:, 0] if single else logits), cache
 
 

@@ -124,7 +124,7 @@ def test_gate_02_noiseless_release_degenerates_to_plain_sgd(report):
             step_params=PrivacyParams(1.0, 0.0),
             learning_rate=lr,
             batch_size=batch,
-            noisy=False,
+            noise_override=0.0,
         ),
         dataset=data,
         budget=PrivacyParams(1.0, 0.5),
@@ -240,7 +240,7 @@ def test_gate_05_ledger_composition_is_exact(report):
 def _mixed_specs(data, lr):
     configs = [
         DpSgdConfig(clip_bound=1e9, step_params=PrivacyParams(1.0, 0.0),
-                    learning_rate=lr, batch_size=2, noisy=False),
+                    learning_rate=lr, batch_size=2, noise_override=0.0),
         DpSgdConfig(clip_bound=1.0, step_params=PrivacyParams(100.0, 1e-6),
                     learning_rate=lr, batch_size=2, noise_override=0.098),
         DpSgdConfig(clip_bound=1.0, step_params=PrivacyParams(50.0, 1e-6),

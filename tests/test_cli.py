@@ -1,9 +1,11 @@
+import ast
 import math
 import socket
 import struct
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,7 +111,7 @@ def test_config_rejects_unknown_key(corpus, tmp_path):
 def _write_worker_cfgs(tmp_path, corpus):
     w0 = tmp_path / "w0.cfg"
     w0.write_text(
-        f"data.path={corpus}\ndp.noisy=false\ndp.clip=1e9\nseed=1234\n"
+        f"data.path={corpus}\ndp.noise_override=0\ndp.clip=1e9\nseed=1234\n"
         "budget.eps=1000\nbudget.delta=0.001\n"
     )
     w1 = tmp_path / "w1.cfg"
@@ -275,7 +277,7 @@ def _spawn_coordinator(workers):
 
 def _spawn_worker(corpus, host, port):
     return _spawn("worker", "--connect", f"{host}:{port}", "--data", str(corpus), "--worker-id", "0",
-                  "--budget-eps", "10", "--budget-delta", "0.1", "--noisy", "false",
+                  "--budget-eps", "10", "--budget-delta", "0.1", "--noise-override", "0",
                   "--seed", "1", "--timeout", "2")
 
 
@@ -454,12 +456,12 @@ def _exit_code(argv):
         ("worker", ["--lr", "0.1"], None),
         ("coordinator", ["--seed", "18446744073709551616"], None),
         ("coordinator", ["--workers", "1099511627776"], None),
-        ("worker", [], "dp.noise_override = 0\n"),
+        ("worker", [], "dp.noise_override = -1\n"),
         ("worker", [], "dp.noise_override = 0.098\ndp.delta_step = 0\n"),
     ],
     ids=["port-out-of-range", "timeout-nan", "timeout-negative", "timeout-inf",
          "config-clip-nan", "worker-lr-gone", "init-seed-past-u64", "workers-past-u32",
-         "zero-noise-override", "override-zero-delta"],
+         "negative-noise-override", "override-zero-delta"],
 )
 def test_bad_values_are_usage_errors(command, extra, config, corpus, tmp_path):
     # every other setting is valid, so the one bad value decides the outcome
@@ -493,11 +495,40 @@ def _worker_model(tmp_path, corpus, name, *argv):
 
 def test_flag_and_file_value_parse_alike(corpus, tmp_path):
     cfg = tmp_path / "w.cfg"
-    cfg.write_text("dp.noisy = no\n")
-    by_flag = _worker_model(tmp_path, corpus, "flag", "--noisy", "no")
+    cfg.write_text("dp.noise_override = 0\n")
+    by_flag = _worker_model(tmp_path, corpus, "flag", "--noise-override", "0")
     by_file = _worker_model(tmp_path, corpus, "file", "--config", str(cfg))
     assert by_flag == by_file
-    assert by_flag != _worker_model(tmp_path, corpus, "noisy")  # the setting took effect
+    assert by_flag != _worker_model(tmp_path, corpus, "calibrated")  # the setting took effect
+
+
+def unread_settings(source: str, dests: list[str]) -> list[str]:
+    """The dests that no attribute read in ``source`` names, leaving out
+    ``_settings`` and ``_flag``, which handle every setting alike."""
+    tree = ast.parse(source)
+    plumbing = {
+        id(node)
+        for f in tree.body if isinstance(f, ast.FunctionDef) and f.name in ("_settings", "_flag")
+        for node in ast.walk(f)
+    }
+    read = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in plumbing
+    }
+    return [dest for dest in dests if dest not in read]
+
+
+def test_checker_flags_an_unread_setting():
+    source = (
+        "def _settings(ns):\n    return ns.unread\n\ndef _flag(p):\n    p.also_unread\n\n"
+        "def cmd(args):\n    args.stored = 1\n    return args.kept\n"
+    )
+    assert unread_settings(source, ["kept", "unread", "also_unread", "stored"]) == ["unread", "also_unread", "stored"]
+
+
+def test_every_setting_is_read():
+    source = Path(dpfed.cli.__file__).read_text()
+    assert unread_settings(source, [s.dest for s in dpfed.cli.SETTINGS.values()]) == []
 
 
 def test_coordinator_seed_without_hidden_uses_default(capsys):

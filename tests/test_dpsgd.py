@@ -55,10 +55,25 @@ def test_config_validation():
         make_cfg(step_params=PrivacyParams(1.0, 0.0), noise_override=0.5)
     with pytest.raises(InvalidValue):
         make_cfg(step_params=PrivacyParams(0.0, 1e-6), noise_override=0.5)
-    make_cfg(step_params=PrivacyParams(1.0, 0.0), noisy=False)
-    for override in (0.0, -0.1, math.nan, math.inf):
+    make_cfg(step_params=PrivacyParams(1.0, 0.0), noise_override=0.0)  # no noise needs no step
+    for override in (-0.1, math.nan, math.inf):
         with pytest.raises(InvalidValue):
-            make_cfg(noise_override=override)  # a noisy release never has sigma 0
+            make_cfg(noise_override=override)
+
+
+def test_calibrated_sigma_that_rounds_to_zero_is_refused():
+    # (C/B) * sqrt(2 ln(1.25/delta)) / epsilon underflows to 0 here, so each
+    # release would be the exact clipped mean at a noisy charge
+    step = PrivacyParams(100.0, 1e-6)
+    with pytest.raises(InvalidValue, match="rounds to 0"):
+        make_cfg(clip_bound=5e-324, step_params=step)
+    # sigma is checked at the configured B: 1e-322 passes at B = 1 only
+    with pytest.raises(InvalidValue, match="rounds to 0"):
+        make_cfg(clip_bound=1e-322, step_params=step)
+    assert noise_sigma(make_cfg(clip_bound=1e-322, step_params=step, batch_size=1), 1) > 0.0
+    # a pinned sigma, or none, is not calibrated
+    make_cfg(clip_bound=5e-324, step_params=step, noise_override=0.5)
+    make_cfg(clip_bound=5e-324, step_params=step, noise_override=0.0)
 
 
 def test_noise_sigma_override_and_calibration():
@@ -67,23 +82,22 @@ def test_noise_sigma_override_and_calibration():
     cfg = make_cfg(step_params=PrivacyParams(2.0, 1e-5))
     expected = (1.0 / 10) * math.sqrt(2.0 * math.log(1.25 / 1e-5)) / 2.0
     assert noise_sigma(cfg, 10) == pytest.approx(expected, rel=1e-14)
-    assert noise_sigma(make_cfg(noisy=False), 10) == 0.0
+    assert noise_sigma(make_cfg(noise_override=0.0), 10) == 0.0
 
 
 def test_release_deterministic_with_zero_override():
-    # a zero override is refused (it would release the exact clipped mean at
-    # a noisy charge), so the deterministic release is the noiseless one:
+    # a zero override is the noiseless release, and it charges nothing:
     # clip [3,4] to norm 1 -> [0.6, 0.8]; average with zero gradient -> [0.3, 0.4]
-    with pytest.raises(InvalidValue):
-        make_cfg(noise_override=0.0)
-    cfg = make_cfg(noisy=False)
+    cfg = make_cfg(noise_override=0.0)
     ledger = AccountLedger(PrivacyParams(10.0, 1e-3))
+    rng = RandomSource(0)
     release, new_ledger = dp_gradient_release(
-        [np.array([3.0, 4.0]), np.zeros(2)], cfg, ledger, RandomSource(0), step_id=0
+        [np.array([3.0, 4.0]), np.zeros(2)], cfg, ledger, rng, step_id=0
     )
     assert np.allclose(release.vector, [0.3, 0.4])
     assert release.spent == PrivacyParams(0.0, 0.0)
     assert new_ledger is ledger and len(ledger.entries) == 0
+    assert rng.uniforms(5).tolist() == RandomSource(0).uniforms(5).tolist()  # no noise drawn
 
 
 def test_release_charges_ledger_once_per_step():
@@ -109,7 +123,7 @@ def test_refused_release_leaves_rng_untouched():
 
 
 def test_non_noisy_release_spends_nothing():
-    cfg = make_cfg(noisy=False, clip_bound=1e9)
+    cfg = make_cfg(noise_override=0.0, clip_bound=1e9)
     ledger = AccountLedger(PrivacyParams(1.0, 1e-6))
     grads = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
     release, new_ledger = dp_gradient_release(grads, cfg, ledger, RandomSource(0), 0)

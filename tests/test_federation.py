@@ -63,14 +63,13 @@ def worker_dataset(seed, frames=5, classes=5):
     return synth_generate(spec, RandomSource(seed))
 
 
-def make_spec(worker_id, noisy=True, budget_eps=1000.0, clip=1.0, frames=5, classes=5):
+def make_spec(worker_id, noise_override=0.01, budget_eps=1000.0, clip=1.0, frames=5, classes=5):
     cfg = DpSgdConfig(
         clip_bound=clip,
         step_params=PrivacyParams(0.5, 1e-6),
         learning_rate=0.05,
         batch_size=2,
-        noise_override=0.01 if noisy else None,
-        noisy=noisy,
+        noise_override=noise_override,
     )
     return WorkerSpec(
         worker_id=worker_id,
@@ -238,10 +237,10 @@ def test_zero_steps_returns_init_model():
 
 
 def test_single_worker_plain_session_equals_local_sgd():
-    # noisy off and a clip far above any norm: federated averaging over one
+    # no noise and a clip far above any norm: federated averaging over one
     # worker must reproduce plain mini-batch SGD bit for bit
     steps, lr = 10, 0.05
-    spec = make_spec(0, noisy=False, clip=1e9)
+    spec = make_spec(0, noise_override=0.0, clip=1e9)
     cfg = session_cfg(1, steps, learning_rate=lr)
     result = inproc_session(cfg, [spec])
 
@@ -261,7 +260,7 @@ def test_single_worker_plain_session_equals_local_sgd():
 
 
 def test_inproc_replicas_stay_identical():
-    specs = [make_spec(0, noisy=True), make_spec(1, noisy=False), make_spec(2, noisy=True)]
+    specs = [make_spec(0), make_spec(1, noise_override=0.0), make_spec(2)]
     cfg = session_cfg(3, 6)
     seen = []
 
@@ -308,7 +307,7 @@ def test_inproc_round_makes_one_gradient_call(monkeypatch):
 def test_tcp_worker_makes_one_gradient_call_per_round(monkeypatch, classes, steps, calls_each):
     # a TCP worker is a group of one: one call per round it releases, and
     # worker 1's failing step-0 call is not made a second time
-    specs = [make_spec(w, noisy=w != 2, classes=o) for w, o in enumerate(classes)]
+    specs = [make_spec(w, noise_override=0.0 if w == 2 else 0.01, classes=o) for w, o in enumerate(classes)]
     owner = {id(seq): spec.worker_id for spec in specs for seq in spec.dataset.sequences}
     calls = Counter()
     lock = threading.Lock()
@@ -335,7 +334,7 @@ def test_inproc_transcript_shape():
 
 
 def test_inproc_ledger_accounting():
-    specs = [make_spec(0, noisy=True), make_spec(1, noisy=False)]
+    specs = [make_spec(0), make_spec(1, noise_override=0.0)]
     result = inproc_session(session_cfg(2, 5), specs)
     assert len(result.ledgers[0].entries) == 5
     # the correctly rounded sum of five copies of the double 1e-6
@@ -348,7 +347,7 @@ def test_inproc_ledger_accounting():
 
 def test_inproc_budget_abort_after_exact_steps():
     # budget admits exactly 3 noisy steps of (0.5, 1e-6)
-    spec = make_spec(0, noisy=True, budget_eps=1.5)
+    spec = make_spec(0, budget_eps=1.5)
     cfg = session_cfg(1, 10)
     result = inproc_session(cfg, [spec])
     assert result.summary.aborted == ABORT_BUDGET
@@ -362,7 +361,7 @@ def test_inproc_budget_abort_after_exact_steps():
 
 def test_inproc_epsilon_total_overflow_aborts_on_budget():
     # a budget near the largest double: the second step's total overflows
-    spec = make_spec(0, noisy=True)
+    spec = make_spec(0)
     spec.dp_config = DpSgdConfig(
         clip_bound=1.0,
         step_params=PrivacyParams(1e308, 1e-6),
@@ -408,7 +407,7 @@ _ROOMY = (1000.0, 1000.0, 1000.0)
 )
 def test_tcp_session_matches_inproc_bit_for_bit(budgets, frames, classes, aborted, steps):
     specs = [
-        make_spec(w, noisy=w != 2, budget_eps=eps, frames=t, classes=o)
+        make_spec(w, noise_override=0.0 if w == 2 else 0.01, budget_eps=eps, frames=t, classes=o)
         for w, (eps, t, o) in enumerate(zip(budgets, frames, classes))
     ]
     cfg = session_cfg(3, 5)
@@ -433,7 +432,7 @@ def test_tcp_session_matches_inproc_bit_for_bit(budgets, frames, classes, aborte
 
 def test_tcp_budget_abort_propagates():
     # worker 1 can afford exactly 2 steps; everyone must stop at step 2
-    specs = [make_spec(0, noisy=True), make_spec(1, noisy=True, budget_eps=1.0)]
+    specs = [make_spec(0), make_spec(1, budget_eps=1.0)]
     cfg = session_cfg(2, 8)
     summary, results, _ = run_tcp(cfg, specs)
     assert summary.aborted == ABORT_BUDGET
@@ -513,16 +512,18 @@ def test_bad_worker_frame_aborts_session_cleanly(frames, code, recorded):
 
 
 @pytest.mark.parametrize(
-    "bad_version, code, raised",
-    [(9, ABORT_PROTOCOL, ProtocolError), (1, ABORT_PROTOCOL, ProtocolError),
+    "bad_frame, code, raised",
+    [(encode(Hello(1, protocol_version=9)), ABORT_PROTOCOL, ProtocolError),
+     (encode(Hello(1, protocol_version=1)), ABORT_PROTOCOL, ProtocolError),
+     (b"XXXX" + encode(Hello(1))[4:], ABORT_DECODE, DecodeError),
      (None, ABORT_TIMEOUT, TimedOut)],
-    ids=["bad-hello", "v1-hello", "accept-timeout"],
+    ids=["bad-hello", "v1-hello", "bad-magic", "accept-timeout"],
 )
-def test_failed_admission_aborts_admitted_workers(bad_version, code, raised):
+def test_failed_admission_aborts_admitted_workers(bad_frame, code, raised):
     # an honest worker is admitted; then a raw socket says HELLO for protocol
-    # version 9 or 1 (whose GRAD carried a batch size), or nobody else
-    # connects before the coordinator's timeout
-    bad_peer = bad_version is not None
+    # version 9 or 1 (whose GRAD carried a batch size), or sends a frame
+    # with a bad magic, or nobody else connects before the coordinator's timeout
+    bad_peer = bad_frame is not None
     cfg = session_cfg(2, 3, timeout=10.0 if bad_peer else 0.5)
     coord = Coordinator(cfg)
     address = coord.bind()
@@ -545,7 +546,7 @@ def test_failed_admission_aborts_admitted_workers(bad_version, code, raised):
         while not coord.transcript and time.monotonic() < deadline:
             time.sleep(0.01)  # until the honest HELLO is in
         with socket.create_connection(address, timeout=10.0) as sock:
-            sock.sendall(encode(Hello(1, protocol_version=bad_version)))
+            sock.sendall(bad_frame)
     for t in threads:
         t.join(timeout=30)
         assert not t.is_alive(), "session hung"
