@@ -19,6 +19,13 @@ product keep that: one gemv per row for each matrix-vector product, and a
 stacked ``matmul`` whose every slice is one sequence contracted over its
 own t, as for the weight gradients. A product that puts two sequences in
 one BLAS call, such as ``V @ W.T`` across the batch, is forbidden.
+
+The bit contract has a condition: the same seed, the same BLAS build and
+the same BLAS kernel give the same bytes. Numpy's OpenBLAS picks its
+kernel per CPU at run time (``OPENBLAS_CORETYPE`` forces one), and the
+kernels sum in different orders, so two CPUs can give two models from
+one seed. Within any one kernel, a sequence's bits still do not depend
+on its batch or on the number of BLAS threads.
 """
 
 from __future__ import annotations

@@ -8,16 +8,18 @@ D' that differ in one record and any outcome set S,
     Pr[M(D) in S] <= exp(epsilon) * Pr[M(D') in S] + delta.
 
 Accounting is linear: running steps (e1, d1) and (e2, d2) costs
-(e1 + e2, d1 + d2). Ledgers keep exact running totals, so the reported
-spend is the correctly rounded sum and does not depend on how steps were
-grouped.
+(e1 + e2, d1 + d2). A ledger is charged only through ``compose``, and it
+keeps each total as an integer count of 2**-1074, of which every finite
+double is a whole number. A charge is then one exact integer add, and
+the reported spend is the correctly rounded sum, which does not depend
+on how steps were grouped.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, Sequence
 
@@ -127,48 +129,31 @@ def dp_mean(values: Sequence[float], bounds: ClampBounds, epsilon: float, rng: R
     return total / n + laplace_sample((hi - lo) / (n * epsilon), rng)
 
 
-def _add_exact(partials: tuple[float, ...], x: float) -> tuple[float, ...]:
-    """Shewchuk's step: non-overlapping partials (the expansion ``math.fsum``
-    builds) whose sum is exactly sum(partials) + x; (inf,) on overflow."""
-    out = []
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        if math.isinf(hi):
-            return (math.inf,)
-        lo = y - (hi - x)
-        if lo:
-            out.append(lo)
-        x = hi
-    return (*out, x)
+_UNIT = 2**1074  # every finite double is an integer count of 2**-1074
 
 
-def _charge(totals: tuple, step: PrivacyParams) -> tuple:
-    """The (epsilon, delta) partials ``totals`` with ``step`` added."""
-    return _add_exact(totals[0], step.epsilon), _add_exact(totals[1], step.delta)
+def _units(x: float) -> int:
+    """x as an exact count of 2**-1074: x = n / 2**k with k <= 1074."""
+    n, d = x.as_integer_ratio()
+    return n << 1075 - d.bit_length()
 
 
+@dataclass(frozen=True, eq=False)
 class AccountLedger:
     """Immutable privacy ledger: a budget plus the steps charged so far.
 
-    The entries are a chain of (previous, entry) pairs that ledgers charged
+    ``AccountLedger(budget)`` is empty; only ``compose`` charges it. The
+    entries are a chain of (previous, entry) pairs that ledgers charged
     one from another share, so a charge copies nothing and ``entries`` is
-    built when it is read. The exact epsilon and delta sums are kept as
-    partials, usually one or two floats each, so a charge is O(1) and
-    ``spent`` equals ``math.fsum`` over the entries bit for bit.
+    built when it is read. Each total is an int that counts 2**-1074, so
+    a charge is one int add and ``spent`` is the correctly rounded sum,
+    ``math.fsum`` over the entries bit for bit.
     """
 
-    __slots__ = ("budget", "_chain", "_totals")
-
-    def __init__(self, budget: PrivacyParams, entries: Sequence[tuple[str, PrivacyParams]] = ()):
-        chain, totals = None, ((), ())
-        for entry in entries:
-            chain, totals = (chain, entry), _charge(totals, entry[1])
-        _set_ledger(self, budget, chain, totals)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"AccountLedger is immutable: cannot set {name!r}")
+    budget: PrivacyParams
+    _chain: tuple | None = field(default=None, kw_only=True, repr=False)
+    _epsilon_units: int = field(default=0, kw_only=True, repr=False)
+    _delta_units: int = field(default=0, kw_only=True, repr=False)
 
     @property
     def entries(self) -> tuple[tuple[str, PrivacyParams], ...]:
@@ -180,7 +165,7 @@ class AccountLedger:
 
     @property
     def spent(self) -> PrivacyParams:
-        return PrivacyParams(*map(math.fsum, self._totals))
+        return PrivacyParams(self._epsilon_units / _UNIT, self._delta_units / _UNIT)
 
     def report(self) -> str:
         """Human-readable table of entries and totals."""
@@ -189,28 +174,29 @@ class AccountLedger:
         return "\n".join([f"{'label':<28}{'epsilon':>14}{'delta':>14}", *lines])
 
 
-def _set_ledger(ledger: AccountLedger, budget: PrivacyParams, chain: tuple | None, totals: tuple) -> AccountLedger:
-    for name, value in zip(AccountLedger.__slots__, (budget, chain, totals)):
-        object.__setattr__(ledger, name, value)
-    return ledger
-
-
 def compose(ledger: AccountLedger, label: str, step: PrivacyParams) -> AccountLedger:
     """Charge one step to the ledger under linear composition.
 
     Returns a new ledger; the input is never mutated. If the new total
     would exceed the budget in either coordinate the step is refused with
-    BudgetExceeded; a total that overflows exceeds every budget. Spending
-    exactly up to the budget is allowed.
+    BudgetExceeded; a total past the largest double exceeds every budget.
+    Spending exactly up to the budget is allowed.
     """
-    totals = _charge(ledger._totals, step)
-    eps, delta = map(math.fsum, totals)
+    eps_units = ledger._epsilon_units + _units(step.epsilon)
+    delta_units = ledger._delta_units + _units(step.delta)
+    try:
+        eps = eps_units / _UNIT
+    except OverflowError:  # past the largest double
+        eps = math.inf
+    delta = delta_units / _UNIT  # below 2: a total within budget is below 1, and so is a step
     if eps > ledger.budget.epsilon or delta > ledger.budget.delta:
         raise BudgetExceeded(
             f"step {label!r} ({step.epsilon}, {step.delta}) would raise spend to "
             f"({eps}, {delta}) over budget ({ledger.budget.epsilon}, {ledger.budget.delta})"
         )
-    return _set_ledger(object.__new__(AccountLedger), ledger.budget, (ledger._chain, (label, step)), totals)
+    return AccountLedger(
+        ledger.budget, _chain=(ledger._chain, (label, step)), _epsilon_units=eps_units, _delta_units=delta_units
+    )
 
 
 @dataclass(frozen=True)

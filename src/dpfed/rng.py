@@ -26,8 +26,6 @@ from scipy.special import ndtri
 
 from .errors import InvalidValue
 
-ALGORITHM = "PCG64"
-
 _MAX_SEED = 2**64
 
 _BLOCK = 1024  # doubles drawn ahead for scalar draws
@@ -56,7 +54,6 @@ class RandomSource:
             raise InvalidValue(f"seed must be an integer in [0, 2**64), got {seed!r}")
         self.seed = seed
         self.spawn_key = _spawn_key
-        self.algorithm = ALGORITHM
         ss = np.random.SeedSequence(entropy=seed, spawn_key=_spawn_key)
         self._gen = np.random.Generator(np.random.PCG64(ss))
         # scalar draws come from _block[_pos:]; _saved is the state it was drawn from

@@ -13,7 +13,7 @@ from dpfed.dpsgd import (
     warm_start,
 )
 from dpfed.network import NetworkDims, apply_update, forward, init_network, loss, per_example_gradients
-from dpfed.privacy import AccountLedger, PrivacyParams
+from dpfed.privacy import AccountLedger, PrivacyParams, gaussian_sigma
 from dpfed.rng import RandomSource
 
 
@@ -74,6 +74,23 @@ def test_calibrated_sigma_that_rounds_to_zero_is_refused():
     # a pinned sigma, or none, is not calibrated
     make_cfg(clip_bound=5e-324, step_params=step, noise_override=0.5)
     make_cfg(clip_bound=5e-324, step_params=step, noise_override=0.0)
+
+
+def test_calibrated_sigma_that_overflows_is_refused():
+    # C * sqrt(2 ln(1.25/delta)) / epsilon is inf here, so a release would
+    # charge the ledger and then emit a GRAD of +-inf
+    step = PrivacyParams(1e-10, 1e-6)
+    with pytest.raises(InvalidValue, match="overflows"):
+        make_cfg(clip_bound=1e308, step_params=step, batch_size=1)
+    # finite at B = 1000, but not at the batch of one that an epoch's last
+    # batch can be, so sigma is checked at B = 1
+    assert math.isfinite(gaussian_sigma(1e300 / 1000, step))
+    with pytest.raises(InvalidValue, match="overflows"):
+        make_cfg(clip_bound=1e300, step_params=step, batch_size=1000)
+    assert math.isfinite(noise_sigma(make_cfg(clip_bound=1e297, step_params=step, batch_size=1000), 1))
+    # a pinned sigma, or none, is not calibrated
+    make_cfg(clip_bound=1e308, step_params=step, noise_override=0.5)
+    make_cfg(clip_bound=1e308, step_params=step, noise_override=0.0)
 
 
 def test_noise_sigma_override_and_calibration():

@@ -311,6 +311,38 @@ def test_long_sequence_gradients_do_not_depend_on_batch_or_blas_threads(tmp_path
     assert digests == [hashlib.sha256(grads.tobytes()).hexdigest()] * 2
 
 
+_BATCH_AGAINST_ALONE = """
+import numpy as np
+from conftest import openblas_core
+from dpfed.network import NetworkDims, init_network, per_example_gradients
+from dpfed.rng import RandomSource
+rng = RandomSource(8)
+net = init_network(NetworkDims(13, 16, 32), rng.derive("net"))
+frames = rng.derive("x").normals((12, 30, 13)) * 2.0
+labels = (rng.derive("y").uniforms(12 * 30) * 32).astype(np.int64).reshape(12, 30)
+batch = list(zip(frames, labels))
+grads = per_example_gradients(net, batch)
+alone = [per_example_gradients(net, [seq])[0] for seq in batch]
+print(openblas_core(), sum(g.tobytes() != a.tobytes() for g, a in zip(grads, alone)))
+"""
+
+
+def test_batch_equals_alone_under_a_forced_generic_blas_kernel():
+    """Prescott is an OpenBLAS kernel that any x86-64 CPU runs (OpenBLAS
+    names it Katmai). It sums in another order than a CPU's own kernel, so
+    its bytes differ from the default's; the contract is that, within one
+    kernel, a sequence's gradient is the same in a batch of 12 as alone."""
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _BATCH_AGAINST_ALONE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    core, differing = proc.stdout.split()
+    assert differing == "0", f"{differing} of 12 sequences differ from their batch under OpenBLAS core {core}"
+
+
 def test_per_example_gradients_mixed_lengths_and_bad_items(monkeypatch):
     net = init_network(NetworkDims(3, 4, 5), RandomSource(12))
     rng = RandomSource(13)

@@ -79,10 +79,6 @@ def test_derive_needs_keys():
         RandomSource(0).derive(-3)
 
 
-def test_algorithm_recorded():
-    assert RandomSource(0).algorithm == "PCG64"
-
-
 class OneCallPerDraw:
     """Reference stream: one plain ``Generator.random()`` call per scalar draw."""
 
