@@ -6,9 +6,12 @@ clipped gradients over the batch, then add i.i.d. Gaussian noise per
 coordinate. ``noise_override`` alone sets the noise. Unset, sigma comes
 from the mean's sensitivity, C/B when adjacent batches differ by one
 added or removed sequence, at the configured per-step (epsilon, delta),
-and a config whose sigma would round to 0 at B, or overflow at a batch
-of one, is refused. At 0 the release has no noise and charges nothing;
-above 0, that sigma is used. A noisy release is charged its step
+and a config whose sigma would round to 0 at B is refused. At 0 the
+release has no noise and charges nothing; above 0, that sigma is used.
+Either way, a config is refused if C + 8.21 sigma is not finite, with
+sigma the override or the calibrated sigma at a batch of one: a clipped
+mean's coordinates lie within C and every normal within 8.21, so no
+accepted release can overflow after its charge. A noisy release is charged its step
 (epsilon, delta), both positive, since Gaussian noise never gives a
 pure-epsilon guarantee. The charge is made before any noise is drawn; a
 refused charge emits nothing.
@@ -38,6 +41,10 @@ from .rng import RandomSource
 from .wire import Grad
 
 
+# |z| <= 8.2095 for every normal: ``rng.normals`` is ndtri of doubles in [2^-53, 1 - 2^-53]
+_NORMAL_BOUND = 8.21
+
+
 @dataclass(frozen=True)
 class DpSgdConfig:
     """Knobs for one worker's release pipeline."""
@@ -59,12 +66,14 @@ class DpSgdConfig:
             raise InvalidValue(f"noise override must be finite and >= 0, got {self.noise_override}")
         if self.noise_override != 0.0 and not (self.step_params.epsilon > 0.0 and self.step_params.delta > 0.0):
             raise InvalidValue("Gaussian noise needs step epsilon > 0 and delta > 0")
-        if self.noise_override is None:
+        sigma = self.noise_override
+        if sigma is None:
             # sigma only grows as a batch falls short of B: the smallest is at B, the largest at 1
             if gaussian_sigma(self.clip_bound / self.batch_size, self.step_params) == 0.0:
                 raise InvalidValue(f"calibrated noise sigma at clip bound {self.clip_bound} rounds to 0")
-            if not math.isfinite(gaussian_sigma(self.clip_bound, self.step_params)):
-                raise InvalidValue(f"calibrated noise sigma at clip bound {self.clip_bound} overflows")
+            sigma = gaussian_sigma(self.clip_bound, self.step_params)
+        if not math.isfinite(self.clip_bound + _NORMAL_BOUND * sigma):
+            raise InvalidValue(f"noise sigma {sigma} at clip bound {self.clip_bound} overflows a release")
 
 
 def fixed_order_mean(vectors: Sequence[np.ndarray]) -> np.ndarray:

@@ -15,10 +15,24 @@ little-endian.
 
 One kernel steps B equal-length sequences at once over time-major (T, B, .)
 arrays, and a sequence's bits never depend on its batch. Two kinds of
-product keep that: one gemv per row for each matrix-vector product, and a
-stacked ``matmul`` whose every slice is one sequence contracted over its
-own t, as for the weight gradients. A product that puts two sequences in
-one BLAS call, such as ``V @ W.T`` across the batch, is forbidden.
+product keep that. The two recurrent products, wh h_{t-1} forward and
+wh^T dz_t backward, are one gemv per row at every step. Every product off
+the recurrence is one stacked ``matmul`` whose every slice is one
+sequence: x wx^T, h wo^T and dlogits wo over the sequence's (T, .) rows,
+and the weight gradients contracted over its own t. A product that puts
+two sequences in one BLAS call, such as ``V @ W.T`` across the batch, is
+forbidden.
+
+The time loops make as few numpy calls per step as they can: 8 forward,
+6 backward. Gates and backward factors are stored gate-major,
+(T, 4, B, h), so each per-gate operation reads contiguous (B, h) slabs,
+and what does not depend on the recurrence is computed before the loop:
+the bias joins the input projection, G = o (1 - tanh^2 c), and each
+gate's BPTT factors multiply once, left to right, into F: g i (1 - i),
+c_{t-1} f (1 - f), i (1 - g^2) and tanh(c) o (1 - o), so that
+dz_t = [dc, dc, dc, dh] F_t is one multiply. Each two-term update is one
+paired product and one add: c_t = [i, f] . [g, c_{t-1}] and
+dc_t = [dc_{t+1}, dh_t] . [f_{t+1}, G_t].
 
 The bit contract has a condition: the same seed, the same BLAS build and
 the same BLAS kernel give the same bytes. Numpy's OpenBLAS picks its
@@ -144,18 +158,43 @@ def init_network(dims: NetworkDims, rng: RandomSource) -> Network:
 
 @dataclass
 class ForwardCache:
-    """Everything backward needs, time-major, with the network that produced it."""
+    """Everything backward needs, time-major, with the network that produced it.
+
+    The gates are gate-major: step t's four gates are four contiguous (B, h)
+    slabs in the order i, f, g, o. ``gates`` holds the sigmoid of each gate's
+    input; its g slab is the sigmoid of the candidate's input, which nothing
+    reads, since the candidate itself is tanh and lives in ``cand_cell``.
+    There step t holds the pair [g_t, c_{t-1}] that [i_t, f_t] multiplies,
+    so c_t is written to slot t + 1, and slot 0 holds c_{-1} = 0.
+    """
 
     net: Network
-    frames: np.ndarray  # (T, B, d)
-    gate_i: np.ndarray  # (T, B, h)
-    gate_f: np.ndarray  # (T, B, h)
-    gate_g: np.ndarray  # (T, B, h) cell candidate, tanh
-    gate_o: np.ndarray  # (T, B, h)
-    cell: np.ndarray  # (T, B, h)
+    frames: np.ndarray  # (T, B, d), C order
+    gates: np.ndarray  # (T, 4, B, h) sigmoid of i, f, (g), o inputs
+    cand_cell: np.ndarray  # (T + 1, 2, B, h) [g_t, c_{t-1}] at t
     hidden: np.ndarray  # (T, B, h)
     tanh_cell: np.ndarray  # (T, B, h)
     probs: np.ndarray  # (T, B, o) softmax rows
+
+    @property
+    def gate_i(self) -> np.ndarray:
+        return self.gates[:, 0]
+
+    @property
+    def gate_f(self) -> np.ndarray:
+        return self.gates[:, 1]
+
+    @property
+    def gate_g(self) -> np.ndarray:
+        return self.cand_cell[:-1, 0]
+
+    @property
+    def gate_o(self) -> np.ndarray:
+        return self.gates[:, 3]
+
+    @property
+    def cell(self) -> np.ndarray:
+        return self.cand_cell[1:, 1]
 
 
 def _gemv_rows(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -178,38 +217,56 @@ def forward(net: Network, frames: np.ndarray) -> tuple[np.ndarray, ForwardCache]
     """
     x = _check_frames(frames, net.dims.input_dim, (2, 3))
     single = x.ndim == 2
-    x = x[:, None, :] if single else x
+    # C order: each sequence's (T, d) slice is then a matrix BLAS takes as it
+    # is, where some numpy versions multiply other layouts in a loop of their own
+    x = np.ascontiguousarray(x[:, None, :] if single else x)
     t_len, batch, d = x.shape
     h, o = net.dims.hidden_dim, net.dims.output_dim
 
-    x_proj = _gemv_rows(net.wx, x.reshape(t_len * batch, d)).reshape(t_len, batch, 4 * h)
-    gates = np.empty((t_len, batch, 4 * h))
-    gi, gf, gg, go = (gates[:, :, k * h : (k + 1) * h] for k in range(4))
-    cell, hidden, tanh_c = np.empty((3, t_len, batch, h))
-    h_prev = c_prev = np.zeros((batch, h))
+    # gates[t] starts as x_t wx^T + b; the loop adds wh h_{t-1}, then squashes it
+    gates = np.empty((t_len, 4, batch, h))
+    x_proj = np.matmul(x.swapaxes(0, 1), net.wx.T).reshape(batch, t_len, 4, h)
+    np.add(x_proj.transpose(1, 2, 0, 3), net.b.reshape(4, 1, h), out=gates)
+    cand_cell = np.empty((t_len + 1, 2, batch, h))
+    cand_cell[0, 1] = 0.0
+    hidden, tanh_c = np.empty((2, t_len, batch, h))
+    terms = np.empty((2, batch, h))
+    h_prev = np.zeros((batch, h))
     for t in range(t_len):
-        z = x_proj[t] + _gemv_rows(net.wh, h_prev) + net.b
-        expit(z, out=gates[t])
-        np.tanh(z[:, 2 * h : 3 * h], out=gg[t])
-        np.add(gf[t] * c_prev, gi[t] * gg[t], out=cell[t])
-        np.tanh(cell[t], out=tanh_c[t])
-        np.multiply(go[t], tanh_c[t], out=hidden[t])
-        h_prev, c_prev = hidden[t], cell[t]
-    logits = (_gemv_rows(net.wo, hidden.reshape(t_len * batch, h)) + net.bo).reshape(t_len, batch, o)
+        z = gates[t]
+        np.add(z, _gemv_rows(net.wh, h_prev).reshape(batch, 4, h).swapaxes(0, 1), out=z)
+        np.tanh(z[2], out=cand_cell[t, 0])
+        expit(z, out=z)
+        np.multiply(z[:2], cand_cell[t], out=terms)  # [i g, f c_{t-1}]
+        np.add(terms[0], terms[1], out=cand_cell[t + 1, 1])
+        np.tanh(cand_cell[t + 1, 1], out=tanh_c[t])
+        np.multiply(z[3], tanh_c[t], out=hidden[t])
+        h_prev = hidden[t]
+    logits = np.empty((t_len, batch, o))
+    np.matmul(hidden.swapaxes(0, 1), net.wo.T, out=logits.swapaxes(0, 1))
+    logits += net.bo
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    cache = ForwardCache(net, x, gi, gf, gg, go, cell, hidden, tanh_c, e / e.sum(axis=-1, keepdims=True))
+    cache = ForwardCache(net, x, gates, cand_cell, hidden, tanh_c, e / e.sum(axis=-1, keepdims=True))
     return (logits[:, 0] if single else logits), cache
 
 
-def _check_labels(labels: np.ndarray, shape: tuple[int, ...], num_classes: int) -> np.ndarray:
+def _integer_labels(labels: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     lab = np.asarray(labels)
     if lab.shape != shape:
         raise InvalidValue(f"need one label per frame, got shape {lab.shape} for frames {shape}")
     if lab.dtype.kind not in "iu":
         raise InvalidValue(f"labels must be integers, got dtype {lab.dtype}")
+    return lab
+
+
+def _labels_in_range(lab: np.ndarray, num_classes: int) -> np.ndarray:
     if lab.min() < 0 or lab.max() >= num_classes:
         raise InvalidValue(f"labels must lie in [0, {num_classes})")
-    return lab.astype(np.int64)
+    return lab.astype(np.int64, copy=False)
+
+
+def _check_labels(labels: np.ndarray, shape: tuple[int, ...], num_classes: int) -> np.ndarray:
+    return _labels_in_range(_integer_labels(labels, shape), num_classes)
 
 
 def loss(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -231,48 +288,65 @@ def backward(cache: ForwardCache, labels: np.ndarray) -> np.ndarray:
     Labels (T,) for a one-sequence cache give one gradient (P,); labels
     (T, B) give one gradient per sequence, (B, P).
     """
-    net = cache.net
-    d, h, o = net.dims.input_dim, net.dims.hidden_dim, net.dims.output_dim
     t_len, batch = cache.frames.shape[:2]
     single = np.ndim(labels) == 1 and batch == 1
-    lab = _check_labels(labels, (t_len,) if single else (t_len, batch), o).reshape(t_len, batch)
+    lab = _check_labels(labels, (t_len,) if single else (t_len, batch), cache.net.dims.output_dim)
+    grads = _backward(cache, lab.reshape(t_len, batch))
+    return grads[0] if single else grads
+
+
+def _backward(cache: ForwardCache, lab: np.ndarray) -> np.ndarray:
+    """``backward`` for checked int64 labels (T, B): one gradient per sequence."""
+    net = cache.net
+    d, h, o = net.dims.input_dim, net.dims.hidden_dim, net.dims.output_dim
+    t_len, batch = lab.shape
 
     d_logits = cache.probs.copy()
     d_logits.reshape(t_len * batch, o)[np.arange(t_len * batch), lab.ravel()] -= 1.0
     d_logits /= t_len
 
-    dh_out = _gemv_rows(net.wo.T, d_logits.reshape(t_len * batch, o)).reshape(t_len, batch, h)
+    dh_out = np.empty((t_len, batch, h))
+    np.matmul(d_logits.swapaxes(0, 1), net.wo, out=dh_out.swapaxes(0, 1))
     dwo = np.matmul(d_logits.transpose(1, 2, 0), cache.hidden.transpose(1, 0, 2))
     dbo = d_logits.sum(axis=0)
 
-    # dz = ((dcdh * f1) * f2) * f3, dcdh = [dc, dc, dc, dh]: each gate's BPTT
-    # product in its usual order (f3 = 1 where the cell candidate has one factor
-    # fewer). After the loop, dz contracted over t with [x_t, h_{t-1}, 1] is dwx|dwh|db.
+    # Everything off the recurrence is hoisted, gate-major. Each gate's BPTT
+    # factors multiply once into F: dz_t = [dc, dc, dc, dh] * F[t]. The cell
+    # gradient is one paired product, dc_t = [dc_{t+1}, dh_t] . [f_{t+1}, G_t]
+    # with G = o (1 - tanh^2 c), and dc_{T} f_{T} = 0 * 0. After the loop, dz
+    # contracted over t with [x_t, h_{t-1}, 1] is dwx|dwh|db.
     gi, gf, gg, go, tc = cache.gate_i, cache.gate_f, cache.gate_g, cache.gate_o, cache.tanh_cell
-    first = np.zeros((1, batch, h))
-    f1 = np.concatenate([gg, np.concatenate([first, cache.cell[:-1]]), gi, tc], axis=2)
-    f2 = np.concatenate([gi, gf, 1.0 - gg * gg, go], axis=2)
-    f3 = np.concatenate([1.0 - gi, 1.0 - gf, np.ones_like(gi), 1.0 - go], axis=2)
-    d_tanh = 1.0 - tc * tc
-    h_prev = np.concatenate([first, cache.hidden[:-1]])
-    inputs = np.concatenate([cache.frames, h_prev, np.ones((t_len, batch, 1))], axis=2)
-    dcdh, dz = np.empty((batch, 4, h)), np.empty((t_len, batch, 4 * h))
-    dh_next = dc_next = first[0]
+    factors = np.empty((t_len, 4, batch, h))
+    factors[:, 0] = gg * gi * (1.0 - gi)
+    factors[:, 1] = cache.cand_cell[:-1, 1] * gf * (1.0 - gf)
+    factors[:, 2] = gi * (1.0 - gg * gg)
+    factors[:, 3] = tc * go * (1.0 - go)
+    carry = np.empty((t_len, 2, batch, h))  # [f_{t+1}, G_t]
+    carry[:-1, 0] = gf[1:]
+    carry[-1, 0] = 0.0
+    np.multiply(go, 1.0 - tc * tc, out=carry[:, 1])
+
+    dz = np.empty((t_len, batch, 4 * h))
+    dz_gates = dz.reshape(t_len, batch, 4, h).swapaxes(1, 2)  # the same memory, gate-major
+    dcdh = np.zeros((4, batch, h))  # [dc, dc, dc, dh]; slot 2 brings dc_{t+1} into step t
+    terms = np.empty((2, batch, h))
+    dh_next = np.zeros((batch, h))
     for t in range(t_len - 1, -1, -1):
-        dh = dh_out[t] + dh_next
-        dc = dc_next + dh * go[t] * d_tanh[t]
-        dcdh[:, :3] = dc[:, None]
-        dcdh[:, 3] = dh
-        np.multiply(dcdh.reshape(batch, 4 * h) * f1[t] * f2[t], f3[t], out=dz[t])
+        np.add(dh_out[t], dh_next, out=dcdh[3])
+        np.multiply(dcdh[2:], carry[t], out=terms)
+        np.add(terms[0], terms[1], out=dcdh[0])
+        dcdh[1:3] = dcdh[0]
+        np.multiply(dcdh, factors[t], out=dz_gates[t])
         dh_next = _gemv_rows(net.wh.T, dz[t])
-        dc_next = dc * gf[t]
+    h_prev = np.concatenate([np.zeros((1, batch, h)), cache.hidden[:-1]])
+    inputs = np.concatenate([cache.frames, h_prev, np.ones((t_len, batch, 1))], axis=2)
     d_w = np.matmul(dz.transpose(1, 2, 0), inputs.transpose(1, 0, 2))
 
     grads = np.empty((batch, net.parameter_count))
     parts = {"wx": d_w[:, :, :d], "wh": d_w[:, :, d : d + h], "b": d_w[:, :, d + h], "wo": dwo, "bo": dbo}
     for name, block in net.dims.blocks(grads).items():
         block[...] = parts[name]
-    return grads[0] if single else grads
+    return grads
 
 
 def sequence_gradient(net: Network, frames: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -285,7 +359,9 @@ def per_example_gradients(net: Network, batch: Sequence) -> list[np.ndarray]:
 
     Accepts anything with ``frames`` and ``labels`` attributes, or
     (frames, labels) pairs. Every item is checked before any gradient is
-    computed; sequences of equal length then go through the kernel together.
+    computed: shapes and dtypes item by item, the label range once per
+    group of equal-length sequences, which then go through the kernel
+    together.
     """
     if len(batch) == 0:
         raise InvalidValue("gradient batch must be non-empty")
@@ -293,13 +369,15 @@ def per_example_gradients(net: Network, batch: Sequence) -> list[np.ndarray]:
     for i, item in enumerate(batch):
         frames, labels = (item.frames, item.labels) if hasattr(item, "frames") else item
         x = _check_frames(frames, net.dims.input_dim, (2,))
-        lab = _check_labels(labels, (len(x),), net.dims.output_dim)
-        by_length.setdefault(len(x), []).append((i, x, lab))
-    grads = np.empty((len(batch), net.parameter_count))
+        by_length.setdefault(len(x), []).append((i, x, _integer_labels(labels, (len(x),))))
+    groups = []
     for group in by_length.values():
         rows, xs, labs = zip(*group)
-        _, cache = forward(net, np.array(xs).swapaxes(0, 1))
-        grads[list(rows)] = backward(cache, np.array(labs).T)
+        lab = _labels_in_range(np.array(labs, dtype=np.int64).T, net.dims.output_dim)
+        groups.append((list(rows), np.stack(xs, axis=1), lab))
+    grads = np.empty((len(batch), net.parameter_count))
+    for rows, x, lab in groups:
+        grads[rows] = _backward(forward(net, x)[1], lab)
     return list(grads)
 
 

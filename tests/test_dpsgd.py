@@ -87,10 +87,28 @@ def test_calibrated_sigma_that_overflows_is_refused():
     assert math.isfinite(gaussian_sigma(1e300 / 1000, step))
     with pytest.raises(InvalidValue, match="overflows"):
         make_cfg(clip_bound=1e300, step_params=step, batch_size=1000)
-    assert math.isfinite(noise_sigma(make_cfg(clip_bound=1e297, step_params=step, batch_size=1000), 1))
+    assert math.isfinite(noise_sigma(make_cfg(clip_bound=1e296, step_params=step, batch_size=1000), 1))
     # a pinned sigma, or none, is not calibrated
     make_cfg(clip_bound=1e308, step_params=step, noise_override=0.5)
     make_cfg(clip_bound=1e308, step_params=step, noise_override=0.0)
+
+
+@pytest.mark.parametrize(
+    "refused, accepted",
+    [
+        # calibrated: sigma at a batch of one is 5.3e307, finite, but 8.21 sigma is not
+        (dict(clip_bound=1e297, batch_size=1), dict(clip_bound=1e296, batch_size=1)),
+        (dict(noise_override=1e308), dict(noise_override=1e307)),
+    ],
+    ids=["calibrated", "override"],
+)
+def test_sigma_whose_release_can_overflow_is_refused(refused, accepted):
+    # normals reach |z| = 8.2095, so C + 8.21 sigma bounds a release: were
+    # it not finite, a release could charge the ledger and then hold inf
+    step = PrivacyParams(1e-10, 1e-6)
+    with pytest.raises(InvalidValue, match="overflows a release"):
+        make_cfg(step_params=step, **refused)
+    make_cfg(step_params=step, **accepted)
 
 
 def test_noise_sigma_override_and_calibration():

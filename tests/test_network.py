@@ -205,43 +205,49 @@ def test_per_example_gradients_order_and_empty():
 
 def _reference_gradient(net, frames, labels):
     """One sequence, one frame at a time: the literal per-timestep LSTM,
-    with each weight gradient one 2-D product over the sequence's rows.
+    grouped as the kernel groups it. The two recurrent products, wh h_{t-1}
+    and wh^T dz_t, are one gemv per step; x wx^T, h wo^T, dlogits wo and
+    the weight gradients are each one 2-D product over the sequence's rows.
+    The bias joins the input projection, G = o (1 - tanh^2 c) and each
+    gate's three BPTT factors are multiplied before dc or dh meets them.
 
     Returns (logits, flat gradient). The batched kernel must reproduce
     these bits exactly, whatever else shares the batch.
     """
     d, h, t_len = net.dims.input_dim, net.dims.hidden_dim, len(frames)
     gi, gf, gg, go, cell, hidden, tanh_c = (np.empty((t_len, h)) for _ in range(7))
-    logits = np.empty((t_len, net.dims.output_dim))
+    x_proj = frames @ net.wx.T + net.b
     h_prev = c_prev = np.zeros(h)
     for t in range(t_len):
-        z = net.wx @ frames[t] + net.wh @ h_prev + net.b
+        z = x_proj[t] + net.wh @ h_prev
         gi[t], gf[t], gg[t], go[t] = expit(z[:h]), expit(z[h : 2 * h]), np.tanh(z[2 * h : 3 * h]), expit(z[3 * h :])
         cell[t] = gf[t] * c_prev + gi[t] * gg[t]
         tanh_c[t] = np.tanh(cell[t])
         hidden[t] = go[t] * tanh_c[t]
-        logits[t] = net.wo @ hidden[t] + net.bo
         h_prev, c_prev = hidden[t], cell[t]
+    logits = hidden @ net.wo.T + net.bo
 
     shifted = logits - logits.max(axis=1, keepdims=True)
     d_logits = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
     d_logits[np.arange(t_len), labels] -= 1.0
     d_logits /= t_len
     dwo, dbo = d_logits.T @ hidden, d_logits.sum(axis=0)
+    dh_out = d_logits @ net.wo
     dz_rows = np.empty((t_len, 4 * h))
     dh_next = dc_next = np.zeros(h)
     for t in range(t_len - 1, -1, -1):
         c_prev = cell[t - 1] if t > 0 else np.zeros(h)
-        dh = net.wo.T @ d_logits[t] + dh_next
-        dc = dc_next + dh * go[t] * (1.0 - tanh_c[t] * tanh_c[t])
-        dz_rows[t] = np.concatenate(
+        dh = dh_out[t] + dh_next
+        dc = dc_next + dh * (go[t] * (1.0 - tanh_c[t] * tanh_c[t]))
+        factors = np.concatenate(
             [
-                dc * gg[t] * gi[t] * (1.0 - gi[t]),
-                dc * c_prev * gf[t] * (1.0 - gf[t]),
-                dc * gi[t] * (1.0 - gg[t] * gg[t]),
-                dh * tanh_c[t] * go[t] * (1.0 - go[t]),
+                gg[t] * gi[t] * (1.0 - gi[t]),
+                c_prev * gf[t] * (1.0 - gf[t]),
+                gi[t] * (1.0 - gg[t] * gg[t]),
+                tanh_c[t] * go[t] * (1.0 - go[t]),
             ]
         )
+        dz_rows[t] = np.concatenate([dc, dc, dc, dh]) * factors
         dh_next = net.wh.T @ dz_rows[t]
         dc_next = dc * gf[t]
     h_prevs = np.concatenate([np.zeros((1, h)), hidden[:-1]])
@@ -269,6 +275,32 @@ def test_batched_kernel_matches_per_timestep_reference_bit_for_bit(dims):
                 assert grads[b].tobytes() == ref_grad.tobytes(), (batch_size, t_len, b)
                 assert logits[:, b].tobytes() == ref_logits.tobytes(), (batch_size, t_len, b)
                 assert forward(net, frames)[0].tobytes() == ref_logits.tobytes()
+
+
+def test_kernel_bits_do_not_depend_on_the_input_memory_layout():
+    """The per-sequence products are BLAS calls only while each sequence's
+    matrix has a unit-stride axis; numpy may multiply any other layout in
+    its own loop, which sums in another order. Strided, Fortran-ordered and
+    batch-major frames must give the bits of a C-ordered copy."""
+    d, _, o = dims = (13, 16, 32)
+    rng = RandomSource(41)
+    net = init_network(NetworkDims(*dims), rng.derive("net"))
+    big = rng.derive("x").normals((30, 24, 2 * d)) * 2.0
+    frames = np.ascontiguousarray(big[:, ::2, ::2])  # (T, B, d)
+    labels = (rng.derive("y").uniforms(30 * 12) * o).astype(np.int64).reshape(12, 30)
+    logits = forward(net, frames)[0].tobytes()
+    grads = np.array(per_example_gradients(net, list(zip(frames.swapaxes(0, 1), labels)))).tobytes()
+    layouts = {
+        "strided": big[:, ::2, ::2],
+        "fortran": np.asfortranarray(frames),
+        "batch-major": np.ascontiguousarray(frames.swapaxes(0, 1)).swapaxes(0, 1),
+    }
+    for name, view in layouts.items():
+        assert not view.flags.c_contiguous, name
+        assert forward(net, view)[0].tobytes() == logits, name
+        assert forward(net, view[:, 3])[0].tobytes() == forward(net, frames[:, 3])[0].tobytes(), name
+        batch = list(zip(view.swapaxes(0, 1), labels))
+        assert np.array(per_example_gradients(net, batch)).tobytes() == grads, name
 
 
 _GRADIENT_DIGEST = """
@@ -316,6 +348,7 @@ import numpy as np
 from conftest import openblas_core
 from dpfed.network import NetworkDims, init_network, per_example_gradients
 from dpfed.rng import RandomSource
+from test_network import _reference_gradient
 rng = RandomSource(8)
 net = init_network(NetworkDims(13, 16, 32), rng.derive("net"))
 frames = rng.derive("x").normals((12, 30, 13)) * 2.0
@@ -323,7 +356,12 @@ labels = (rng.derive("y").uniforms(12 * 30) * 32).astype(np.int64).reshape(12, 3
 batch = list(zip(frames, labels))
 grads = per_example_gradients(net, batch)
 alone = [per_example_gradients(net, [seq])[0] for seq in batch]
-print(openblas_core(), sum(g.tobytes() != a.tobytes() for g, a in zip(grads, alone)))
+reference = [_reference_gradient(net, x, y)[1] for x, y in batch]
+print(
+    openblas_core(),
+    sum(g.tobytes() != a.tobytes() for g, a in zip(grads, alone)),
+    sum(g.tobytes() != r.tobytes() for g, r in zip(grads, reference)),
+)
 """
 
 
@@ -331,7 +369,9 @@ def test_batch_equals_alone_under_a_forced_generic_blas_kernel():
     """Prescott is an OpenBLAS kernel that any x86-64 CPU runs (OpenBLAS
     names it Katmai). It sums in another order than a CPU's own kernel, so
     its bytes differ from the default's; the contract is that, within one
-    kernel, a sequence's gradient is the same in a batch of 12 as alone."""
+    kernel, a sequence's gradient is the same in a batch of 12 as alone,
+    and the same as the per-timestep reference, which pins the kernel's
+    grouping of its products on a kernel that every x86-64 CPU has."""
     here = Path(__file__).resolve().parent
     env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here), env.get("PYTHONPATH")]))
@@ -339,8 +379,9 @@ def test_batch_equals_alone_under_a_forced_generic_blas_kernel():
         [sys.executable, "-c", _BATCH_AGAINST_ALONE], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    core, differing = proc.stdout.split()
+    core, differing, off_reference = proc.stdout.split()
     assert differing == "0", f"{differing} of 12 sequences differ from their batch under OpenBLAS core {core}"
+    assert off_reference == "0", f"{off_reference} of 12 sequences differ from the reference under OpenBLAS core {core}"
 
 
 def test_per_example_gradients_mixed_lengths_and_bad_items(monkeypatch):
