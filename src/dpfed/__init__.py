@@ -13,7 +13,7 @@ from .dpsgd import DpSgdConfig, dp_gradient_release, warm_start
 from .evaluation import EvalReport, GapProbe, accuracy, cross_evaluate, membership_gap
 from .experiments import MembershipConfig, MembershipResult, run_membership_experiment
 from .federation import Coordinator, SessionConfig, WorkerSpec, inproc_session, worker_run
-from .network import Network, NetworkDims, forward, init_network, loss, sequence_gradient
+from .network import Network, NetworkDims, forward, init_network, loss
 from .privacy import (
     AccountLedger,
     ClampBounds,
@@ -62,7 +62,6 @@ __all__ = [
     "membership_gap",
     "read_dataset",
     "run_membership_experiment",
-    "sequence_gradient",
     "split",
     "synth_generate",
     "warm_start",

@@ -237,10 +237,12 @@ def cmd_inspect(args) -> int:
     print(f"classes      {dataset.num_classes}")
     print(f"sequences    {dataset.n_sequences}")
     print(f"frames       {dataset.n_frames}")
-    for spk in dataset.speaker_ids:
-        seqs = [s for s in dataset.sequences if s.speaker_id == spk]
-        frames = sum(s.n_frames for s in seqs)
-        print(f"speaker {spk:>4}  {len(seqs)} sequences, {frames} frames")
+    counts = {spk: [0, 0] for spk in dataset.speaker_ids}  # sequences, frames
+    for s in dataset.sequences:
+        counts[s.speaker_id][0] += 1
+        counts[s.speaker_id][1] += s.n_frames
+    for spk, (n_seqs, frames) in counts.items():
+        print(f"speaker {spk:>4}  {n_seqs} sequences, {frames} frames")
     return EXIT_OK
 
 

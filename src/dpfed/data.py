@@ -78,11 +78,7 @@ class Dataset:
 
     @property
     def speaker_ids(self) -> list[int]:
-        seen: list[int] = []
-        for s in self.sequences:
-            if s.speaker_id not in seen:
-                seen.append(s.speaker_id)
-        return sorted(seen)
+        return sorted({s.speaker_id for s in self.sequences})
 
 
 @dataclass(frozen=True)

@@ -92,8 +92,12 @@ def l2_clip(grad: np.ndarray, clip_bound: float) -> np.ndarray:
     g = np.asarray(grad, dtype=np.float64)
     if not np.all(np.isfinite(g)):
         raise InvalidValue("gradient contains NaN or infinite entries")
-    norm = float(np.linalg.norm(g))
-    if norm <= clip_bound:
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(g))
+    if math.isinf(norm):  # the squares overflowed; those of g / max|g| cannot
+        g = g / np.abs(g).max()
+        norm = float(np.linalg.norm(g))
+    elif norm <= clip_bound:
         return g
     return g * (clip_bound / norm)
 

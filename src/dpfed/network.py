@@ -8,20 +8,22 @@ vector, the row-major concatenation
 
 of 4h(d + h + 1) + o(h + 1) parameters that gradients, updates, INIT and
 model files share; ``NetworkDims.blocks`` cuts the blocks from it as views.
-Loss is mean-per-frame softmax cross-entropy with max-subtraction; backward
-is full backpropagation through time. Model files use the FDPNET01 format:
-the 8-byte magic, three u32 little-endian dims, then the vector as float64
-little-endian.
+Loss is mean-per-frame softmax cross-entropy with max-subtraction. Model
+files use the FDPNET01 format: the 8-byte magic, three u32 little-endian
+dims, then the vector as float64 little-endian.
 
 One kernel steps B equal-length sequences at once over time-major (T, B, .)
-arrays, and a sequence's bits never depend on its batch. Two kinds of
-product keep that. The two recurrent products, wh h_{t-1} forward and
-wh^T dz_t backward, are one gemv per row at every step. Every product off
-the recurrence is one stacked ``matmul`` whose every slice is one
-sequence: x wx^T, h wo^T and dlogits wo over the sequence's (T, .) rows,
-and the weight gradients contracted over its own t. A product that puts
-two sequences in one BLAS call, such as ``V @ W.T`` across the batch, is
-forbidden.
+batches, the only shape it takes: ``forward`` returns their logits,
+``per_example_gradients`` is the one way to their gradients (full
+backpropagation through time), and ``finite_difference_gradient`` is its
+oracle for one sequence. A sequence's bits never depend on its batch.
+Two kinds of product keep that. The two recurrent products, wh h_{t-1}
+forward and wh^T dz_t backward, are one gemv per row at every step.
+Every product off the recurrence is one stacked ``matmul`` whose every
+slice is one sequence: x wx^T, h wo^T and dlogits wo over the sequence's
+(T, .) rows, and the weight gradients contracted over its own t. A
+product that puts two sequences in one BLAS call, such as ``V @ W.T``
+across the batch, is forbidden.
 
 The time loops make as few numpy calls per step as they can: 8 forward,
 6 backward. Gates and backward factors are stored gate-major,
@@ -158,7 +160,7 @@ def init_network(dims: NetworkDims, rng: RandomSource) -> Network:
 
 @dataclass
 class ForwardCache:
-    """Everything backward needs, time-major, with the network that produced it.
+    """Everything ``_backward`` needs, time-major, with the network that produced it.
 
     The gates are gate-major: step t's four gates are four contiguous (B, h)
     slabs in the order i, f, g, o. ``gates`` holds the sigmoid of each gate's
@@ -176,50 +178,25 @@ class ForwardCache:
     tanh_cell: np.ndarray  # (T, B, h)
     probs: np.ndarray  # (T, B, o) softmax rows
 
-    @property
-    def gate_i(self) -> np.ndarray:
-        return self.gates[:, 0]
-
-    @property
-    def gate_f(self) -> np.ndarray:
-        return self.gates[:, 1]
-
-    @property
-    def gate_g(self) -> np.ndarray:
-        return self.cand_cell[:-1, 0]
-
-    @property
-    def gate_o(self) -> np.ndarray:
-        return self.gates[:, 3]
-
-    @property
-    def cell(self) -> np.ndarray:
-        return self.cand_cell[1:, 1]
-
 
 def _gemv_rows(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``w @ v[k]`` for every row k of v (n, cols): one gemv per row, the bits of each alone."""
     return np.matmul(w, v[:, :, None])[:, :, 0]
 
 
-def _check_frames(frames: np.ndarray, input_dim: int, ndims: tuple[int, ...]) -> np.ndarray:
+def _check_frames(frames: np.ndarray, input_dim: int, ndim: int) -> np.ndarray:
     x = np.asarray(frames, dtype=np.float64)
-    if x.ndim not in ndims or x.shape[-1] != input_dim or 0 in x.shape:
-        raise InvalidValue(f"frames must be a non-empty {ndims}-d array with last axis {input_dim}, got {x.shape}")
+    if x.ndim != ndim or x.shape[-1] != input_dim or 0 in x.shape:
+        raise InvalidValue(f"frames must be a non-empty {ndim}-d array with last axis {input_dim}, got {x.shape}")
     return x
 
 
 def forward(net: Network, frames: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Run sequences through the LSTM; returns per-frame logits and a cache.
-
-    ``frames`` is one sequence (T, d) or B equal-length sequences (T, B, d);
-    the logits come back as (T, o) or (T, B, o) to match.
-    """
-    x = _check_frames(frames, net.dims.input_dim, (2, 3))
-    single = x.ndim == 2
+    """Run B equal-length sequences (T, B, d) through the LSTM; returns
+    their per-frame logits (T, B, o) and a cache."""
     # C order: each sequence's (T, d) slice is then a matrix BLAS takes as it
     # is, where some numpy versions multiply other layouts in a loop of their own
-    x = np.ascontiguousarray(x[:, None, :] if single else x)
+    x = np.ascontiguousarray(_check_frames(frames, net.dims.input_dim, 3))
     t_len, batch, d = x.shape
     h, o = net.dims.hidden_dim, net.dims.output_dim
 
@@ -247,7 +224,7 @@ def forward(net: Network, frames: np.ndarray) -> tuple[np.ndarray, ForwardCache]
     logits += net.bo
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     cache = ForwardCache(net, x, gates, cand_cell, hidden, tanh_c, e / e.sum(axis=-1, keepdims=True))
-    return (logits[:, 0] if single else logits), cache
+    return logits, cache
 
 
 def _integer_labels(labels: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -265,38 +242,23 @@ def _labels_in_range(lab: np.ndarray, num_classes: int) -> np.ndarray:
     return lab.astype(np.int64, copy=False)
 
 
-def _check_labels(labels: np.ndarray, shape: tuple[int, ...], num_classes: int) -> np.ndarray:
-    return _labels_in_range(_integer_labels(labels, shape), num_classes)
-
-
 def loss(logits: np.ndarray, labels: np.ndarray) -> float:
     """Mean over frames of softmax cross-entropy, computed with max-subtraction."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2:
         raise InvalidValue(f"logits must be (T, classes), got {logits.shape}")
     t_len, o = logits.shape
-    lab = _check_labels(labels, (t_len,), o)
+    lab = _labels_in_range(_integer_labels(labels, (t_len,)), o)
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1))
     return float(np.mean(log_z - shifted[np.arange(t_len), lab]))
 
 
-def backward(cache: ForwardCache, labels: np.ndarray) -> np.ndarray:
-    """Flat gradient of each sequence's mean-per-frame loss via BPTT, at
-    the network that produced the cache.
-
-    Labels (T,) for a one-sequence cache give one gradient (P,); labels
-    (T, B) give one gradient per sequence, (B, P).
-    """
-    t_len, batch = cache.frames.shape[:2]
-    single = np.ndim(labels) == 1 and batch == 1
-    lab = _check_labels(labels, (t_len,) if single else (t_len, batch), cache.net.dims.output_dim)
-    grads = _backward(cache, lab.reshape(t_len, batch))
-    return grads[0] if single else grads
-
-
 def _backward(cache: ForwardCache, lab: np.ndarray) -> np.ndarray:
-    """``backward`` for checked int64 labels (T, B): one gradient per sequence."""
+    """Flat gradient of each sequence's mean-per-frame loss via BPTT, at
+    the network that produced the cache. Labels are checked int64 (T, B);
+    the result is one gradient per sequence, (B, P).
+    """
     net = cache.net
     d, h, o = net.dims.input_dim, net.dims.hidden_dim, net.dims.output_dim
     t_len, batch = lab.shape
@@ -315,10 +277,12 @@ def _backward(cache: ForwardCache, lab: np.ndarray) -> np.ndarray:
     # gradient is one paired product, dc_t = [dc_{t+1}, dh_t] . [f_{t+1}, G_t]
     # with G = o (1 - tanh^2 c), and dc_{T} f_{T} = 0 * 0. After the loop, dz
     # contracted over t with [x_t, h_{t-1}, 1] is dwx|dwh|db.
-    gi, gf, gg, go, tc = cache.gate_i, cache.gate_f, cache.gate_g, cache.gate_o, cache.tanh_cell
+    gi, gf, _, go = cache.gates.swapaxes(0, 1)
+    gg, c_prev = cache.cand_cell[:-1].swapaxes(0, 1)
+    tc = cache.tanh_cell
     factors = np.empty((t_len, 4, batch, h))
     factors[:, 0] = gg * gi * (1.0 - gi)
-    factors[:, 1] = cache.cand_cell[:-1, 1] * gf * (1.0 - gf)
+    factors[:, 1] = c_prev * gf * (1.0 - gf)
     factors[:, 2] = gi * (1.0 - gg * gg)
     factors[:, 3] = tc * go * (1.0 - go)
     carry = np.empty((t_len, 2, batch, h))  # [f_{t+1}, G_t]
@@ -349,11 +313,6 @@ def _backward(cache: ForwardCache, lab: np.ndarray) -> np.ndarray:
     return grads
 
 
-def sequence_gradient(net: Network, frames: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Forward plus backward for one sequence."""
-    return backward(forward(net, frames)[1], labels)
-
-
 def per_example_gradients(net: Network, batch: Sequence) -> list[np.ndarray]:
     """One flat gradient per sequence, in batch order.
 
@@ -368,7 +327,7 @@ def per_example_gradients(net: Network, batch: Sequence) -> list[np.ndarray]:
     by_length: dict[int, list] = {}
     for i, item in enumerate(batch):
         frames, labels = (item.frames, item.labels) if hasattr(item, "frames") else item
-        x = _check_frames(frames, net.dims.input_dim, (2,))
+        x = _check_frames(frames, net.dims.input_dim, 2)
         by_length.setdefault(len(x), []).append((i, x, _integer_labels(labels, (len(x),))))
     groups = []
     for group in by_length.values():
@@ -394,16 +353,18 @@ def apply_update(net: Network, grad: np.ndarray, lr: float) -> Network:
 def finite_difference_gradient(
     net: Network, frames: np.ndarray, labels: np.ndarray, h: float = 1e-6
 ) -> np.ndarray:
-    """Central-difference loss gradient, the oracle for backward()."""
+    """Central-difference loss gradient of one sequence (T, d), run as a
+    batch of one: the oracle for ``per_example_gradients``."""
     if not (1e-8 <= h <= 1e-3):
         raise InvalidValue(f"step h must lie in [1e-8, 1e-3], got {h}")
+    x = _check_frames(frames, net.dims.input_dim, 2)[:, None]
     flat = net.flatten()
     grad = np.empty_like(flat)
     for j in range(flat.size):
         bumped = flat.copy()
         bumped[j] = flat[j] + h
-        hi_logits, _ = forward(Network(net.dims, bumped), frames)
+        hi_logits = forward(Network(net.dims, bumped), x)[0][:, 0]
         bumped[j] = flat[j] - h
-        lo_logits, _ = forward(Network(net.dims, bumped), frames)
+        lo_logits = forward(Network(net.dims, bumped), x)[0][:, 0]
         grad[j] = (loss(hi_logits, labels) - loss(lo_logits, labels)) / (2.0 * h)
     return grad

@@ -6,8 +6,8 @@ by inverse-CDF transforms, so the full sample stream for a given seed is
 reproducible bit for bit on any platform. Nothing in the package touches
 the global numpy random state.
 
-Scalar draws (``uniform``, ``open_uniform``) are served from a block of
-``_BLOCK`` doubles drawn ahead in one call, because numpy's scalar
+The scalar draw ``open_uniform`` is served from a block of ``_BLOCK``
+doubles drawn ahead in one call, because numpy's scalar
 ``Generator.random()`` costs about a microsecond each. The stream stays
 bit-identical to one generator call per scalar draw whatever the
 interleaving: before a block is drawn the bit generator's state is saved,
@@ -84,14 +84,6 @@ class RandomSource:
             self._gen.random(self._pos)
             self._pos = _BLOCK
 
-    def uniform(self) -> float:
-        """One double in [0, 1)."""
-        if self._pos == _BLOCK:
-            self._refill()
-        u = self._block[self._pos]
-        self._pos += 1
-        return u
-
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles in [0, 1)."""
         if n < 0:
@@ -101,8 +93,6 @@ class RandomSource:
 
     def open_uniform(self) -> float:
         """One double in the open interval (0, 1); exact zeros are redrawn."""
-        # uniform() inlined: this runs once per Laplace release, and calling
-        # it would add about a third to the cost of a draw
         u = 0.0
         while u == 0.0:
             if self._pos == _BLOCK:

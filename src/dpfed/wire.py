@@ -90,8 +90,8 @@ class Init(_Framed):
     parameters: np.ndarray | None = None
 
     def __post_init__(self):
-        if max(self.dims.input_dim, self.dims.hidden_dim, self.dims.output_dim) >= 2**32:
-            raise InvalidValue("INIT dims must fit in u32")
+        if grad_payload_size(self.dims) >= 2**32:  # each dim then fits in u32 too
+            raise InvalidValue("INIT dims make a GRAD payload too long for its u32 length")
         if (self.seed is None) == (self.parameters is None):
             raise InvalidValue("INIT needs exactly one of seed or parameters")
         if self.seed is not None and not 0 <= self.seed < 2**64:

@@ -32,7 +32,6 @@ from dpfed.network import (
     apply_update,
     finite_difference_gradient,
     init_network,
-    sequence_gradient,
 )
 from dpfed.privacy import (
     AccountLedger,
@@ -87,13 +86,13 @@ def test_gate_01_backward_matches_finite_differences(report):
     worst = 0.0
     for trial in range(20):
         pick = rng.derive("shape", trial)
-        d, h, o = (int(pick.uniform() * 8) + 1 for _ in range(3))
-        t_len = int(pick.uniform() * 10) + 1
+        d, h, o = (int(pick.open_uniform() * 8) + 1 for _ in range(3))
+        t_len = int(pick.open_uniform() * 10) + 1
         net = init_network(NetworkDims(d, h, o), rng.derive("net", trial))
         data = rng.derive("data", trial)
         frames = data.normals((t_len, d))
         labels = (data.uniforms(t_len) * o).astype(np.int64)
-        grad = sequence_gradient(net, frames, labels)
+        grad = per_example_gradients(net, [(frames, labels)])[0]
         oracle = finite_difference_gradient(net, frames, labels, h=1e-6)
         worst = max(worst, _rel_err(grad, oracle))
     elapsed = time.monotonic() - t0
@@ -367,31 +366,31 @@ def test_gate_09_codec_and_file_round_trips(report, tmp_path):
         pick = rng.derive("msg", i)
         kind = i % 7
         if kind == 0:
-            return Hello(worker_id=int(pick.uniform() * 2**32))
+            return Hello(worker_id=int(pick.open_uniform() * 2**32))
         if kind == 1:
-            dims = NetworkDims(int(pick.uniform() * 4) + 1,
-                               int(pick.uniform() * 4) + 1,
-                               int(pick.uniform() * 4) + 1)
-            return Init(dims=dims, total_steps=int(pick.uniform() * 100),
-                        learning_rate=pick.uniform() + 1e-6,
+            dims = NetworkDims(int(pick.open_uniform() * 4) + 1,
+                               int(pick.open_uniform() * 4) + 1,
+                               int(pick.open_uniform() * 4) + 1)
+            return Init(dims=dims, total_steps=int(pick.open_uniform() * 100),
+                        learning_rate=pick.open_uniform() + 1e-6,
                         seed=pick.derive_seed("seed"))
         if kind == 2:
-            dims = NetworkDims(2, int(pick.uniform() * 3) + 1, 3)
-            return Init(dims=dims, total_steps=int(pick.uniform() * 100),
-                        learning_rate=pick.uniform() + 1e-6,
+            dims = NetworkDims(2, int(pick.open_uniform() * 3) + 1, 3)
+            return Init(dims=dims, total_steps=int(pick.open_uniform() * 100),
+                        learning_rate=pick.open_uniform() + 1e-6,
                         parameters=pick.normals(dims.parameter_count))
         if kind == 3:
             return Grad(
-                step_id=int(pick.uniform() * 1000),
-                vector=pick.normals(int(pick.uniform() * 30) + 1),
-                spent=PrivacyParams(pick.uniform() * 10, pick.uniform() * 1e-3),
+                step_id=int(pick.open_uniform() * 1000),
+                vector=pick.normals(int(pick.open_uniform() * 30) + 1),
+                spent=PrivacyParams(pick.open_uniform() * 10, pick.open_uniform() * 1e-3),
             )
         if kind == 4:
-            return Avg(step_id=int(pick.uniform() * 1000),
-                       vector=pick.normals(int(pick.uniform() * 30) + 1))
+            return Avg(step_id=int(pick.open_uniform() * 1000),
+                       vector=pick.normals(int(pick.open_uniform() * 30) + 1))
         if kind == 5:
-            return Done(steps_completed=int(pick.uniform() * 1000))
-        return Abort(code=int(pick.uniform() * 4) + 1, reason=f"reason ✓ {i}")
+            return Done(steps_completed=int(pick.open_uniform() * 1000))
+        return Abort(code=int(pick.open_uniform() * 4) + 1, reason=f"reason ✓ {i}")
 
     for i in range(880):
         msg = rand_message(i)
@@ -401,11 +400,11 @@ def test_gate_09_codec_and_file_round_trips(report, tmp_path):
     for i in range(60):
         pick = rng.derive("seno", i)
         spec = SynthSpec(
-            feature_dim=int(pick.uniform() * 5) + 1,
-            num_classes=int(pick.uniform() * 6) + 2,
-            n_speakers=int(pick.uniform() * 3) + 1,
-            sequences_per_speaker=int(pick.uniform() * 3) + 1,
-            frames_per_sequence=int(pick.uniform() * 6) + 1,
+            feature_dim=int(pick.open_uniform() * 5) + 1,
+            num_classes=int(pick.open_uniform() * 6) + 2,
+            n_speakers=int(pick.open_uniform() * 3) + 1,
+            sequences_per_speaker=int(pick.open_uniform() * 3) + 1,
+            frames_per_sequence=int(pick.open_uniform() * 6) + 1,
         )
         path = tmp_path / f"case_{i}.seno"
         write_dataset(synth_generate(spec, pick.derive("gen")), path)
@@ -416,9 +415,9 @@ def test_gate_09_codec_and_file_round_trips(report, tmp_path):
 
     for i in range(60):
         pick = rng.derive("net", i)
-        dims = NetworkDims(int(pick.uniform() * 4) + 1,
-                           int(pick.uniform() * 4) + 1,
-                           int(pick.uniform() * 4) + 1)
+        dims = NetworkDims(int(pick.open_uniform() * 4) + 1,
+                           int(pick.open_uniform() * 4) + 1,
+                           int(pick.open_uniform() * 4) + 1)
         net = init_network(dims, pick.derive("init"))
         path = tmp_path / f"case_{i}.net"
         net.save(path)

@@ -35,6 +35,11 @@ def test_l2_clip_behaviour():
     assert np.linalg.norm(clipped) == pytest.approx(1.0, rel=1e-15)
     small = np.array([0.1, 0.2])
     assert np.array_equal(l2_clip(small, 1.0), small)
+    for huge in (np.full(10, 1e200), np.array([1e200, -3e200, 0.0, 2.5e-300, 7e199])):
+        clipped = l2_clip(huge, 1.0)  # finite entries whose sum of squares overflows
+        unit = huge / 1e200 / np.linalg.norm(huge / 1e200)
+        assert np.linalg.norm(clipped) == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(clipped, unit, rtol=1e-12, atol=0.0)
     with pytest.raises(InvalidValue, match="gradient contains NaN or infinite entries"):
         l2_clip(np.array([1.0, math.nan]), 1.0)
     with pytest.raises(InvalidValue):
@@ -216,9 +221,9 @@ def test_warm_start_learns():
     rng = RandomSource(101)
     net = init_network(NetworkDims(4, 6, 3), rng.derive("net"))
     seqs = [(rng.derive("x", i).normals((6, 4)) + 2.0 * (i % 3), np.full(6, i % 3, dtype=np.int64)) for i in range(9)]
-    before = float(np.mean([loss(forward(net, f)[0], l) for f, l in seqs]))
+    before = float(np.mean([loss(forward(net, f[:, None])[0][:, 0], l) for f, l in seqs]))
     trained = warm_start(net, seqs, epochs=30, learning_rate=0.3, batch_size=3, rng=rng.derive("order"))
-    after = float(np.mean([loss(forward(trained, f)[0], l) for f, l in seqs]))
+    after = float(np.mean([loss(forward(trained, f[:, None])[0][:, 0], l) for f, l in seqs]))
     assert after < before * 0.5
 
 

@@ -39,6 +39,7 @@ from dpfed.wire import (
     MAGIC,
     TAG_AVG,
     TAG_GRAD,
+    TAG_INIT,
     Abort,
     Avg,
     Grad,
@@ -704,10 +705,15 @@ def _nan_parameter_init_frame():
     return bytes(frame)
 
 
+# a 42-byte seed INIT whose dims are each 2**31: no GRAD could carry its
+# gradient, and numpy could not allocate one
+_HUGE_DIMS_INIT = MAGIC + struct.pack("<BI", TAG_INIT, 33) + struct.pack("<IIIIdBQ", *[2**31] * 3, 3, 0.05, 0, 7)
+
+
 @pytest.mark.parametrize(
     "frame",
-    [_init_frame(float("nan")), _init_frame(-1.0), _init_frame(0.0), _nan_parameter_init_frame()],
-    ids=["nan", "-1.0", "0.0", "nan-parameter"],
+    [_init_frame(float("nan")), _init_frame(-1.0), _init_frame(0.0), _nan_parameter_init_frame(), _HUGE_DIMS_INIT],
+    ids=["nan", "-1.0", "0.0", "nan-parameter", "huge-dims"],
 )
 def test_worker_refuses_bad_init_before_releasing(frame):
     # a scripted coordinator sends an INIT that a SessionConfig refuses

@@ -14,6 +14,9 @@
 - Every name in ``dpfed.__all__`` is used besides where it is defined: in
   another part of the library, a demo or the benchmark. Exported API that
   only tests call is code to delete, not to keep.
+- The same holds for every public function, class, method and property
+  that a module defines. A string constant counts as a use, because the
+  benchmark rebinds some of them by name.
 """
 
 import ast
@@ -141,6 +144,50 @@ def test_checker_flags_an_export_nothing_uses():
     assert unused_exports(["f", "g", "h", "k", "C"], sources) == ["f", "k", "C"]
 
 
+USERS = MODULES + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+
+
 def test_every_export_is_used_outside_tests():
-    users = MODULES + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
-    assert unused_exports(dpfed.__all__, [p.read_text() for p in users]) == []
+    assert unused_exports(dpfed.__all__, [p.read_text() for p in USERS]) == []
+
+
+def unused_definitions(modules: dict[str, str], sources: list[str]) -> list[str]:
+    """Public module-level functions and classes, and public methods and
+    properties of those classes, that no source names; a definition is not
+    a reference, a string constant equal to the name is."""
+    defined = []
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            defined.append((f"{module}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        defined.append((f"{module}.{node.name}.{item.name}", item.name))
+    used = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    return [label for label, name in defined if name not in used]
+
+
+def test_checker_flags_a_definition_nothing_uses():
+    module = (
+        "def f():\n    return g()\n\ndef g():\n    pass\n\ndef _h():\n    pass\n\n"
+        "class C:\n    def __init__(self):\n        self.m()\n\n    def m(self):\n        pass\n\n"
+        "    @property\n    def p(self):\n        pass\n\n    def q(self):\n        pass\n\n"
+        "class D:\n    def r(self):\n        pass\n"
+    )
+    user = "x = D()\nrebind(x, 'p')\nprint('the q')\n"
+    assert unused_definitions({"mod": module}, [module, user]) == ["mod.f", "mod.C", "mod.C.q", "mod.D.r"]
+
+
+def test_every_definition_is_used_outside_tests():
+    modules = {p.stem: p.read_text() for p in MODULES}
+    assert unused_definitions(modules, [p.read_text() for p in USERS]) == []

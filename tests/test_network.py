@@ -23,7 +23,6 @@ from dpfed.network import (
     init_network,
     loss,
     per_example_gradients,
-    sequence_gradient,
 )
 from dpfed.rng import RandomSource
 from test_data import mutate_file
@@ -116,14 +115,14 @@ def test_forward_single_step_oracle():
     # d = h = o = 1, one frame, hand-computed gates
     dims = NetworkDims(1, 1, 1)
     net = Network(dims, np.concatenate([[0.5] * 4, np.zeros(4), np.zeros(4), [1.0], [0.0]]))  # wx wh b wo bo
-    logits, cache = forward(net, np.array([[1.0]]))
+    logits, cache = forward(net, np.array([[1.0]])[:, None])
     sig = 1.0 / (1.0 + math.exp(-0.5))
     g = math.tanh(0.5)
     c = sig * g
     expected = sig * math.tanh(c)
-    assert logits[0, 0] == pytest.approx(expected, rel=1e-14)
-    assert cache.cell[0, 0] == pytest.approx(c, rel=1e-14)
-    assert cache.gate_f[0, 0] == pytest.approx(sig, rel=1e-14)
+    assert logits[0, 0, 0] == pytest.approx(expected, rel=1e-14)
+    assert cache.cand_cell[1, 1, 0, 0] == pytest.approx(c, rel=1e-14)  # c_0 sits in slot 1
+    assert cache.gates[0, 1, 0, 0] == pytest.approx(sig, rel=1e-14)  # the forget gate
 
 
 def test_forward_forget_gate_carries_state():
@@ -131,16 +130,18 @@ def test_forward_forget_gate_carries_state():
     dims = NetworkDims(1, 1, 1)
     b = [-50.0, 50.0, 0.0, 50.0]  # i ~ 0, f ~ 1, o ~ 1
     net = Network(dims, np.concatenate([np.zeros(4), np.zeros(4), b, [1.0], [0.0]]))  # wx wh b wo bo
-    _, cache = forward(net, np.zeros((5, 1)))
-    assert np.allclose(cache.cell, 0.0, atol=1e-20)
+    _, cache = forward(net, np.zeros((5, 1))[:, None])
+    assert np.allclose(cache.cand_cell[1:, 1], 0.0, atol=1e-20)  # c_0 ... c_4
 
 
 def test_forward_shape_errors():
     net = init_network(NetworkDims(3, 4, 5), RandomSource(1))
-    with pytest.raises(InvalidValue, match=r"last axis 3, got \(4, 2\)"):
-        forward(net, np.zeros((4, 2)))
-    with pytest.raises(InvalidValue, match=r"last axis 3, got \(0, 3\)"):
-        forward(net, np.zeros((0, 3)))
+    with pytest.raises(InvalidValue, match=r"3-d array with last axis 3, got \(4, 1, 2\)"):
+        forward(net, np.zeros((4, 1, 2)))
+    with pytest.raises(InvalidValue, match=r"last axis 3, got \(0, 1, 3\)"):
+        forward(net, np.zeros((0, 1, 3)))
+    with pytest.raises(InvalidValue, match=r"last axis 3, got \(4, 3\)"):
+        forward(net, np.zeros((4, 3)))  # one sequence goes in as a batch of one
     with pytest.raises(InvalidValue, match=r"last axis 3, got \(3,\)"):
         forward(net, np.zeros(3))
 
@@ -176,7 +177,7 @@ def test_gradient_matches_finite_differences():
         net = init_network(dims, rng.derive("net", trial))
         frames = rng.derive("x", trial).normals((6, 3))
         labels = np.arange(6) % 5
-        analytic = sequence_gradient(net, frames, labels)
+        analytic = per_example_gradients(net, [(frames, labels)])[0]
         numeric = finite_difference_gradient(net, frames, labels, h=1e-6)
         assert rel_err(analytic, numeric) < 1e-7
 
@@ -198,7 +199,7 @@ def test_per_example_gradients_order_and_empty():
     grads = per_example_gradients(net, batch)
     assert len(grads) == 3
     for (frames, labels), g in zip(batch, grads):
-        assert np.array_equal(g, sequence_gradient(net, frames, labels))
+        assert np.array_equal(g, per_example_gradients(net, [(frames, labels)])[0])
     with pytest.raises(InvalidValue, match="gradient batch must be non-empty"):
         per_example_gradients(net, [])
 
@@ -274,7 +275,7 @@ def test_batched_kernel_matches_per_timestep_reference_bit_for_bit(dims):
                 ref_logits, ref_grad = _reference_gradient(net, frames, labels)
                 assert grads[b].tobytes() == ref_grad.tobytes(), (batch_size, t_len, b)
                 assert logits[:, b].tobytes() == ref_logits.tobytes(), (batch_size, t_len, b)
-                assert forward(net, frames)[0].tobytes() == ref_logits.tobytes()
+                assert forward(net, frames[:, None])[0][:, 0].tobytes() == ref_logits.tobytes()
 
 
 def test_kernel_bits_do_not_depend_on_the_input_memory_layout():
@@ -298,7 +299,7 @@ def test_kernel_bits_do_not_depend_on_the_input_memory_layout():
     for name, view in layouts.items():
         assert not view.flags.c_contiguous, name
         assert forward(net, view)[0].tobytes() == logits, name
-        assert forward(net, view[:, 3])[0].tobytes() == forward(net, frames[:, 3])[0].tobytes(), name
+        assert forward(net, view[:, 3:4])[0].tobytes() == forward(net, frames[:, 3:4])[0].tobytes(), name
         batch = list(zip(view.swapaxes(0, 1), labels))
         assert np.array(per_example_gradients(net, batch)).tobytes() == grads, name
 
@@ -325,7 +326,7 @@ def test_long_sequence_gradients_do_not_depend_on_batch_or_blas_threads(tmp_path
     labels = (rng.derive("y").uniforms(64 * 200) * o).astype(np.int64).reshape(64, 200)
     grads = np.array(per_example_gradients(net, list(zip(frames, labels))))
     for b in (0, 17, 63):
-        assert grads[b].tobytes() == sequence_gradient(net, frames[b], labels[b]).tobytes(), b
+        assert grads[b].tobytes() == per_example_gradients(net, [(frames[b], labels[b])])[0].tobytes(), b
 
     net.save(tmp_path / "net.bin")
     np.savez(tmp_path / "batch.npz", frames=frames, labels=labels)
@@ -391,7 +392,7 @@ def test_per_example_gradients_mixed_lengths_and_bad_items(monkeypatch):
     grads = per_example_gradients(net, batch)
     assert len(grads) == 4
     for (frames, labels), g in zip(batch, grads):
-        assert np.array_equal(g, sequence_gradient(net, frames, labels))
+        assert np.array_equal(g, per_example_gradients(net, [(frames, labels)])[0])
 
     calls = []
     monkeypatch.setattr(network, "forward", lambda *a: calls.append(a) or forward(*a))
@@ -428,12 +429,10 @@ def test_descent_reduces_loss():
     net = init_network(NetworkDims(3, 5, 4), rng.derive("net"))
     frames = rng.derive("x").normals((8, 3))
     labels = np.arange(8) % 4
-    logits, _ = forward(net, frames)
-    before = loss(logits, labels)
+    before = loss(forward(net, frames[:, None])[0][:, 0], labels)
     for _ in range(20):
-        net = apply_update(net, sequence_gradient(net, frames, labels), 0.5)
-    logits, _ = forward(net, frames)
-    assert loss(logits, labels) < before
+        net = apply_update(net, per_example_gradients(net, [(frames, labels)])[0], 0.5)
+    assert loss(forward(net, frames[:, None])[0][:, 0], labels) < before
 
 
 def test_model_bytes_roundtrip():

@@ -317,6 +317,6 @@ def test_probe_flags_laplace_scale_five_times_too_small():
 def test_probe_refuses_non_finite_samples(bad):
     # one bad sample among the 2e5, drawn on the adjacent dataset
     calls = iter(range(200_000))
-    mech = lambda data, r: bad if next(calls) == 123_456 else r.uniform()
+    mech = lambda data, r: bad if next(calls) == 123_456 else r.open_uniform()
     with pytest.raises(InvalidValue, match="non-finite"):
         distinguishability_probe(mech, [1.0, 2.0], [1.0], PrivacyParams(1.0), 100_000, 10, RandomSource(6))
