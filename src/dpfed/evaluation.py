@@ -20,7 +20,7 @@ from .errors import InvalidValue
 from .network import Network, forward
 
 LEAK_THRESHOLD_POINTS = 5.0
-EVAL_CHUNK = 16  # sequences per forward pass; bounds the forward cache accuracy holds
+EVAL_CHUNK = 16  # sequences per forward pass; bounds the kernel workspace accuracy uses
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def accuracy(net: Network, dataset: Dataset) -> EvalReport:
     for group in by_length.values():
         for start in range(0, len(group), EVAL_CHUNK):
             chunk = group[start : start + EVAL_CHUNK]
-            logits, _ = forward(net, np.stack([seq.frames for seq in chunk], axis=1))
+            logits = forward(net, np.stack([seq.frames for seq in chunk], axis=1))
             preds = np.argmax(logits, axis=-1)  # argmax ties go to the lowest class
             for seq, seq_preds in zip(chunk, preds.T):
                 bucket = per_speaker.setdefault(seq.speaker_id, [0, 0])

@@ -1,7 +1,10 @@
 """Session set-up shared by the test modules: the report header names the
-OpenBLAS kernel that runs, since the bit contract holds within one kernel."""
+OpenBLAS kernel that runs, since the bit contract holds within one kernel,
+and the C library, whose allocator decides how many page faults the
+kernel's memory costs."""
 
 import ctypes
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -21,4 +24,5 @@ def openblas_core() -> str:
 
 
 def pytest_report_header(config):
-    return f"openblas core: {openblas_core()}"
+    libc = " ".join(platform.libc_ver()).strip() or "unknown"
+    return f"openblas core: {openblas_core()}, libc: {libc}"

@@ -221,9 +221,9 @@ def test_warm_start_learns():
     rng = RandomSource(101)
     net = init_network(NetworkDims(4, 6, 3), rng.derive("net"))
     seqs = [(rng.derive("x", i).normals((6, 4)) + 2.0 * (i % 3), np.full(6, i % 3, dtype=np.int64)) for i in range(9)]
-    before = float(np.mean([loss(forward(net, f[:, None])[0][:, 0], l) for f, l in seqs]))
+    before = float(np.mean([loss(forward(net, f[:, None])[:, 0], l) for f, l in seqs]))
     trained = warm_start(net, seqs, epochs=30, learning_rate=0.3, batch_size=3, rng=rng.derive("order"))
-    after = float(np.mean([loss(forward(trained, f[:, None])[0][:, 0], l) for f, l in seqs]))
+    after = float(np.mean([loss(forward(trained, f[:, None])[:, 0], l) for f, l in seqs]))
     assert after < before * 0.5
 
 

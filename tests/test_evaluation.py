@@ -130,7 +130,7 @@ def test_accuracy_mixed_lengths_matches_per_sequence_predictions():
         hits = {spk: 0 for spk in range(3)}
         frames_seen = {spk: 0 for spk in range(3)}
         for seq in seqs:
-            preds = np.argmax(forward(net, seq.frames[:, None])[0][:, 0], axis=-1)  # one sequence at a time
+            preds = np.argmax(forward(net, seq.frames[:, None])[:, 0], axis=-1)  # one sequence at a time
             hits[seq.speaker_id] += int((preds == seq.labels).sum())
             frames_seen[seq.speaker_id] += seq.n_frames
         assert [(s.speaker_id, s.n_frames, s.n_correct) for s in report.speakers] == [
