@@ -12,8 +12,9 @@ flag, from a flat key=value config file or from the default goes
 through the same parser; a flag beats the file, the file beats the
 default.
 
-Exit codes: 0 success, 2 usage or validation error, 3 transport setup
-failure, 4 protocol abort, 5 privacy budget exhaustion.
+Exit codes: 0 on success. An error exits with the code its class in
+``dpfed.errors`` names, and a session that ended in an ABORT exits by
+``errors.session_exit_code``.
 """
 
 from __future__ import annotations
@@ -33,15 +34,7 @@ from .data import (
     write_dataset,
 )
 from .dpsgd import DpSgdConfig, warm_start
-from .errors import (
-    BudgetExceeded,
-    DecodeError,
-    DpFedError,
-    InvalidValue,
-    ProtocolError,
-    TimedOut,
-    TransportError,
-)
+from .errors import DpFedError, InvalidValue, session_exit_code
 from .evaluation import accuracy, cross_evaluate, membership_gap
 from .federation import (
     Coordinator,
@@ -54,13 +47,9 @@ from .federation import (
 from .network import Network, NetworkDims, init_network
 from .privacy import PrivacyParams
 from .rng import RandomSource
-from .wire import ABORT_BUDGET, abort_name
+from .wire import abort_name
 
 EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_TRANSPORT = 3
-EXIT_PROTOCOL = 4
-EXIT_BUDGET = 5
 
 
 def _as_int(text: str) -> int:
@@ -206,12 +195,6 @@ def _print_summary(summary) -> None:
         print(f"worker {wid} spent   eps={spent.epsilon:g} delta={spent.delta:g}")
 
 
-def _abort_exit(aborted: int | None) -> int:
-    if aborted is None:
-        return EXIT_OK
-    return EXIT_BUDGET if aborted == ABORT_BUDGET else EXIT_PROTOCOL
-
-
 def cmd_synth(args) -> int:
     _settings(args, None, "seed")
     values = _read_kv(args.spec, SYNTH_KEYS) if args.spec else {}
@@ -290,7 +273,7 @@ def cmd_coordinator(args) -> int:
         write_transcript(coordinator.transcript, args.transcript)
         print(f"wrote {args.transcript}")
     _print_summary(summary)
-    return _abort_exit(summary.aborted)
+    return session_exit_code(summary.aborted)
 
 
 def cmd_worker(args) -> int:
@@ -315,7 +298,7 @@ def cmd_worker(args) -> int:
     status = "clean" if result.clean else f"aborted: {abort_name(result.aborted)}"
     print(f"steps completed  {result.steps_completed}")
     print(f"status           {status}")
-    return _abort_exit(result.aborted)
+    return session_exit_code(result.aborted)
 
 
 def cmd_simulate(args) -> int:
@@ -363,7 +346,7 @@ def cmd_simulate(args) -> int:
         print(f"wrote {args.report}")
     print(report.render_text())
     _print_summary(result.summary)
-    return _abort_exit(result.summary.aborted)
+    return session_exit_code(result.summary.aborted)
 
 
 def cmd_eval(args) -> int:
@@ -482,18 +465,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceeded as exc:
-        print(f"dpfed: budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (ProtocolError, DecodeError) as exc:
-        print(f"dpfed: protocol failure: {exc}", file=sys.stderr)
-        return EXIT_PROTOCOL
-    except (TransportError, TimedOut) as exc:
-        print(f"dpfed: transport failure: {exc}", file=sys.stderr)
-        return EXIT_TRANSPORT
-    except (DpFedError, OSError) as exc:
+    except DpFedError as exc:
+        print(f"dpfed: {exc.label}{exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
         print(f"dpfed: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return DpFedError.exit_code
 
 
 if __name__ == "__main__":

@@ -35,11 +35,11 @@ class FeatureSequence:
             raise InvalidValue(f"speaker id must be >= 0, got {self.speaker_id}")
         if self.frames.ndim != 2 or self.frames.shape[0] < 1:
             raise InvalidValue(f"frames must be (T >= 1, dim), got {self.frames.shape}")
-        if not np.all(np.isfinite(self.frames)):
+        if not np.isfinite(self.frames).all():
             raise InvalidValue("frames must be finite")
         if self.labels.shape != (self.frames.shape[0],):
             raise InvalidValue("need exactly one label per frame")
-        if not np.issubdtype(self.labels.dtype, np.integer):
+        if self.labels.dtype.kind not in "iu":
             raise InvalidValue(f"labels must be integers, got {self.labels.dtype}")
         if self.labels.min() < 0:
             raise InvalidValue("labels must be >= 0")
@@ -60,13 +60,13 @@ class Dataset:
     def __post_init__(self):
         if self.feature_dim < 1 or self.num_classes < 1:
             raise InvalidValue("feature_dim and num_classes must be positive")
-        for seq in self.sequences:
+        for i, seq in enumerate(self.sequences):
             if seq.frames.shape[1] != self.feature_dim:
                 raise InvalidValue(
                     f"sequence has dim {seq.frames.shape[1]}, dataset has {self.feature_dim}"
                 )
             if seq.labels.max() >= self.num_classes:
-                raise InvalidValue(f"label out of range for {self.num_classes} classes")
+                raise InvalidValue(f"sequence {i} has a label out of range for {self.num_classes} classes")
 
     @property
     def n_sequences(self) -> int:
@@ -181,22 +181,19 @@ def read_dataset(path: str | Path) -> Dataset:
             raise InvalidValue(f"truncated at sequence {i} header")
         speaker, t = struct.unpack("<II", data[off : off + 8])
         off += 8
-        if t < 1:
-            raise InvalidValue(f"sequence {i} has no frames")
         frame_bytes = 4 * t * dim
         if off + frame_bytes + 4 * t > len(data):
             raise InvalidValue(f"truncated inside sequence {i}")
-        raw = np.frombuffer(data, dtype="<f4", offset=off, count=t * dim)
-        # checked in float32: widening a signaling NaN would warn first
-        if not np.all(np.isfinite(raw)):
-            raise InvalidValue(f"sequence {i} has non-finite frames")
-        frames = raw.astype(np.float64).reshape(t, dim)
+        # a signaling NaN warns as it widens; FeatureSequence then refuses it
+        with np.errstate(invalid="ignore"):
+            frames = np.frombuffer(data, dtype="<f4", offset=off, count=t * dim).astype(np.float64).reshape(t, dim)
         off += frame_bytes
         labels = np.frombuffer(data, dtype="<u4", offset=off, count=t).astype(np.int64)
         off += 4 * t
-        if labels.max() >= classes:
-            raise InvalidValue(f"sequence {i} has a label out of range")
-        sequences.append(FeatureSequence(speaker_id=speaker, frames=frames, labels=labels))
+        try:
+            sequences.append(FeatureSequence(speaker_id=speaker, frames=frames, labels=labels))
+        except InvalidValue as exc:
+            raise InvalidValue(f"sequence {i}: {exc}") from None
     if off != len(data):
         raise InvalidValue(f"{len(data) - off} trailing bytes after last sequence")
     return Dataset(feature_dim=dim, num_classes=classes, sequences=tuple(sequences))

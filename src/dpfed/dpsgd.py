@@ -16,6 +16,13 @@ accepted release can overflow after its charge. A noisy release is charged its s
 pure-epsilon guarantee. The charge is made before any noise is drawn; a
 refused charge emits nothing.
 
+A short batch is undercharged under a pinned sigma. The last batch of an
+epoch holds len < B sequences, so its mean has sensitivity C/len, not
+C/B, yet it is charged the same configured step (epsilon, delta). In the
+membership experiment's private session, 68 of 600 releases are batches
+of 2 at B = 4. A ledger that charges from sigma and the actual batch
+size would bound them truly.
+
 The release is a ``wire.Grad``: step, vector and spend, and nothing more.
 Clip bound and noise are the worker's own settings, and the batch size
 would tell the coordinator how many sequences the worker holds, so none

@@ -48,10 +48,6 @@ from .network import Network, NetworkDims, apply_update, init_network
 from .privacy import AccountLedger, PrivacyParams, compose
 from .rng import RandomSource
 from .wire import (
-    ABORT_BUDGET,
-    ABORT_DECODE,
-    ABORT_PROTOCOL,
-    ABORT_TIMEOUT,
     HEADER_LEN,
     PROTOCOL_VERSION,
     Abort,
@@ -127,18 +123,9 @@ class WorkerSpec:
             raise InvalidValue("worker id must fit in u32")
 
 
-# the ABORT code for each kind of fault; any other fault is ABORT_PROTOCOL
-_ABORT_CODES = (
-    (BudgetExceeded, ABORT_BUDGET),
-    (TimedOut, ABORT_TIMEOUT),
-    ((DecodeError, TransportError), ABORT_DECODE),
-)
-
-
 def _abort(exc: DpFedError, reason: str | None = None) -> Abort:
     """The ABORT that ``exc`` calls for, giving ``reason``, else the error's text."""
-    code = next((code for kinds, code in _ABORT_CODES if isinstance(exc, kinds)), ABORT_PROTOCOL)
-    return Abort(code, str(exc) if reason is None else reason)
+    return Abort(exc.abort_code, str(exc) if reason is None else reason)
 
 
 class WorkerReplica:

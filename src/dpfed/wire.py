@@ -24,7 +24,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DecodeError, InvalidValue
+from .errors import ABORT_BUDGET, ABORT_DECODE, ABORT_PROTOCOL, ABORT_TIMEOUT, DecodeError, InvalidValue
 from .network import Network, NetworkDims
 from .privacy import PrivacyParams
 
@@ -41,12 +41,7 @@ TAG_AVG = 4
 TAG_DONE = 5
 TAG_ABORT = 6
 
-# abort reason codes carried in ABORT frames
-ABORT_BUDGET = 1
-ABORT_TIMEOUT = 2
-ABORT_DECODE = 3
-ABORT_PROTOCOL = 4
-
+# ``errors`` defines the ABORT codes, beside the faults that send them
 _ABORT_NAMES = {
     ABORT_BUDGET: "budget",
     ABORT_TIMEOUT: "timeout",

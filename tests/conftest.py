@@ -1,7 +1,9 @@
 """Session set-up shared by the test modules: the report header names the
-OpenBLAS kernel that runs, since the bit contract holds within one kernel,
-and the C library, whose allocator decides how many page faults the
-kernel's memory costs."""
+OpenBLAS kernel that runs, since the bit contract holds within one kernel;
+the CPU features numpy's SIMD loops dispatch on, since its ``exp``,
+``tanh`` and ``log1p`` give different bits on different ones; and the C
+library, whose allocator decides how many page faults the kernel's memory
+costs."""
 
 import ctypes
 import platform
@@ -23,6 +25,16 @@ def openblas_core() -> str:
     return "unknown"
 
 
+def numpy_cpu_features() -> str:
+    """The CPU features numpy found and enabled, or "unknown" when this
+    numpy does not list them."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return "unknown"
+    return " ".join(sorted(name for name, enabled in __cpu_features__.items() if enabled)) or "unknown"
+
+
 def pytest_report_header(config):
     libc = " ".join(platform.libc_ver()).strip() or "unknown"
-    return f"openblas core: {openblas_core()}, libc: {libc}"
+    return f"openblas core: {openblas_core()}, numpy cpu features: {numpy_cpu_features()}, libc: {libc}"

@@ -409,7 +409,7 @@ INSPECT_BAD = ["inspect", "--data", "{bad}"]
         (lambda c, m: b"NOTMAGIC" + m[8:], EVAL_BAD_MODEL, "bad model magic"),
         (lambda c, m: c[:-3], INSPECT_BAD, "truncated inside sequence 23"),
         (lambda c, m: _patched(c, len(c) - 4, 6), INSPECT_BAD, "sequence 23 has a label out of range"),
-        (lambda c, m: _patched(c, 24, 0), INSPECT_BAD, "sequence 0 has no frames"),
+        (lambda c, m: _patched(c, 24, 0), INSPECT_BAD, "sequence 0: frames must be (T >= 1, dim)"),
         (lambda c, m: _patched(c, 8, 0), INSPECT_BAD, "header dims must be positive"),
         (_empty, ["warm-start", "--data", "{bad}", "--out", "{out}", "--seed", "1"], "no sequences to train on"),
         (_empty, ["eval", "--model", "{model}", "--data", "{bad}"], "cannot evaluate on an empty dataset"),

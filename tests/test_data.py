@@ -160,10 +160,10 @@ def test_write_refuses_frames_that_overflow_float32(tmp_path):
 
 
 def test_read_refuses_signaling_nan_frame(tmp_path):
-    # widening a float32 signaling NaN to float64 would warn before any check
+    # widening a float32 signaling NaN to float64 warns; the reader refuses it without a warning
     path = tmp_path / "snan.seno"
     path.write_bytes(DATA_MAGIC + struct.pack("<IIIIIII", 1, 1, 1, 0, 1, 0x7F800001, 0))
-    with pytest.raises(InvalidValue, match="sequence 0 has non-finite frames"):
+    with pytest.raises(InvalidValue, match="sequence 0: frames must be finite"):
         read_dataset(path)
 
 
